@@ -20,9 +20,9 @@
 //!   validation **and** the `gdcm-audit` ensemble + dataset passes, so a
 //!   corrupted or poisoned snapshot is rejected before it can serve.
 //! * [`server`] — a dual-protocol TCP server (`std::net::TcpListener`,
-//!   safe Rust only): a non-blocking event loop sharded by the
-//!   `gdcm-par` budget serves the legacy newline-JSON protocol and the
-//!   length-prefixed, pipelined binary protocol
+//!   safe Rust only): one thread per connection, sleeping in the
+//!   kernel on its own socket when idle, serves the legacy newline-JSON
+//!   protocol and the length-prefixed, pipelined binary protocol
 //!   ([`protocol::wire`]) on one listener, with per-request latency
 //!   histograms, open-connection gauges, and graceful drain-then-exit
 //!   shutdown.

@@ -75,7 +75,7 @@ const USAGE: &str = "usage:
   --ops-addr ADDR   also serve the ops endpoint (health/metrics/slowlog/quiesce)
   --wal PATH        write-ahead log mutating requests here (replayed on start;
                     GDCM_SERVE_REFRESH_ROWS enables background refresh)
-  --workers W       connection worker threads (default: GDCM_THREADS budget)
+  --workers W       idle connection threads that may spin at once (default: GDCM_THREADS budget)
   --probe ADDR      act as the scripted smoke client against ADDR
   --ops ADDR        probe the server's ops endpoint at ADDR too
   --ops-out PATH    where the probe writes the metrics snapshot

@@ -51,7 +51,8 @@ pub struct HealthReply {
     pub errors_total: u64,
     /// Connections accepted since startup.
     pub connections_total: u64,
-    /// Event-loop shards sweeping connections.
+    /// CPU budget: how many idle connection threads may spin at once
+    /// before sleeping in the kernel (every connection has a thread).
     pub workers: usize,
     /// Wire protocols the serving listener speaks, by stable name
     /// (`newline-json`, `binary-v1`).

@@ -1,21 +1,23 @@
-//! The TCP server: a non-blocking readiness loop with per-connection
-//! state machines, dual-protocol framing, and graceful shutdown.
+//! The TCP server: one kernel-blocking thread per connection, each
+//! driving a non-blocking per-connection state machine, dual-protocol
+//! framing, and graceful shutdown.
 //!
 //! Safe Rust only, on `std::net`. There is no `poll(2)` in safe std, so
-//! readiness is emulated the portable way: every socket is switched to
-//! non-blocking mode and a small set of event-loop *shards* sweeps its
-//! connections — read until `WouldBlock`, process every complete
-//! request buffered so far, flush until `WouldBlock` — backing off to
-//! `yield_now` and then `park_timeout` only when a full sweep makes no
-//! progress. The accept loop runs shard 0 on the calling thread; the
-//! `gdcm-par` budget (`GDCM_THREADS`) sizes additional shard threads,
-//! with accepted connections dealt round-robin:
+//! the only way for arriving bytes to wake the server is a thread that
+//! sleeps on that very socket. The accept thread blocks in `accept` and
+//! gives every connection a thread of its own. While there is work the
+//! socket stays non-blocking — read until `WouldBlock`, process every
+//! complete request buffered so far, flush until `WouldBlock`. Once a
+//! short `yield_now` spin finds nothing more, the thread switches the
+//! socket to blocking mode and sleeps in the kernel: in `peek` for
+//! input, or in `write` while output is pending.
 //!
-//! * budget 1 — one shard, on the accept thread: the exact serial
-//!   path (mirroring `gdcm-par`'s own serial short-circuit).
-//! * budget N>1 — N shards; each connection lives on one shard for its
-//!   whole life, so request handling needs no cross-thread locking and
-//!   `reqtrace`'s thread-local spans stay coherent.
+//! [`ServerConfig::workers`] (default: the `gdcm-par` budget,
+//! `GDCM_THREADS`) is a CPU budget, not a thread count: at most that
+//! many idle connection threads spin at once, and one that finds no
+//! free slot blocks straight away. Each connection lives on one thread
+//! for its whole life, so request handling needs no cross-thread
+//! locking and `reqtrace`'s thread-local spans stay coherent.
 //!
 //! ## Two protocols, one listener
 //!
@@ -28,22 +30,21 @@
 //!   one connection are processed in order, so response *values* are
 //!   bit-identical to sending the same requests sequentially.
 //! * anything else — the legacy newline-JSON protocol, byte-for-byte
-//!   compatible with every old client. Its per-connection read buffer
-//!   and the shard's serialize buffer are reused across requests
-//!   instead of allocating per line.
+//!   compatible with every old client. Its read buffer and serialize
+//!   buffer are reused across requests instead of allocating per line.
 //!
 //! ## Shutdown
 //!
 //! `Shutdown` is still the SIGTERM-equivalent drain: the stop flag
-//! flips, the accept loop stops accepting and closes the shard
-//! channels, and every shard keeps sweeping until its remaining
-//! connections disconnect. Nothing is aborted mid-request and every
-//! buffered response is flushed.
+//! flips, a wake-up connection unblocks the accept thread, which stops
+//! accepting, and every open connection is served until its peer
+//! disconnects. Nothing is aborted mid-request and every buffered
+//! response is flushed.
 //!
-//! Instrumentation: `serve/requests` / `serve/request_errors` counters,
-//! a `serve/request_ms` latency histogram, and a
+//! Instrumentation: a `serve/request_ms` latency histogram and a
 //! `serve/open_connections` gauge — always on (registry writes, not
-//! event emission).
+//! event emission). Lifetime request and error counts are the
+//! [`ServerSummary`] atomics, also reported by the ops `health` verb.
 //!
 //! Live telemetry is opt-in via [`serve_with_ops`]: handing the server
 //! a second listener starts the [`crate::ops`] endpoint and turns on
@@ -53,16 +54,15 @@
 //! Without an ops listener none of that code runs: the request loop
 //! checks one plain `bool` and the hot path stays byte-for-byte the
 //! uninstrumented one (`bench_serve` asserts the enabled cost too).
-//! In the event-driven loop the `read` stage spans from the previous
-//! request's completion to this request's dispatch (client idle time
-//! included, as before), and the `write` stage measures enqueue into
-//! the connection's output buffer — the socket write itself is batched
-//! across pipelined responses.
+//! The `read` stage spans from the previous request's completion to
+//! this request's dispatch (client idle time included), and the `write`
+//! stage measures enqueue into the connection's output buffer — the
+//! socket write itself is batched across pipelined responses.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 use crate::protocol::wire;
@@ -75,8 +75,10 @@ use crate::serving::{CacheStats, ServingRepository};
 /// Server configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Event-loop shards. 1 sweeps every connection on the accept
-    /// thread. Defaults to the `gdcm-par` thread budget.
+    /// CPU budget: how many idle connection threads may spin at once
+    /// before sleeping in the kernel; the rest block straight away.
+    /// Every connection has its own thread regardless. Defaults to the
+    /// `gdcm-par` thread budget.
     pub workers: usize,
 }
 
@@ -111,6 +113,8 @@ pub(crate) struct ServerShared<'a> {
     pub(crate) request_errors: AtomicU64,
     pub(crate) connections: AtomicU64,
     open_connections: AtomicI64,
+    /// Connection threads currently spinning; capped at `workers`.
+    spinning: AtomicUsize,
     /// Whether per-request telemetry (traces, windowed metrics, slow
     /// log) records. True exactly when an ops listener is attached.
     pub(crate) telemetry: bool,
@@ -118,6 +122,8 @@ pub(crate) struct ServerShared<'a> {
     pub(crate) draining: AtomicBool,
     /// Tells the ops accept loop to exit.
     pub(crate) ops_stop: AtomicBool,
+    /// Where the wake-up connections go: the serving and ops listeners.
+    serve_addr: Option<SocketAddr>,
     ops_addr: Option<SocketAddr>,
     /// Server start, for uptime reporting.
     pub(crate) started: Instant,
@@ -137,28 +143,28 @@ impl ServerShared<'_> {
             request_errors: AtomicU64::new(0),
             connections: AtomicU64::new(0),
             open_connections: AtomicI64::new(0),
+            spinning: AtomicUsize::new(0),
             telemetry: false,
             draining: AtomicBool::new(false),
             ops_stop: AtomicBool::new(false),
+            serve_addr: None,
             ops_addr: None,
             started: Instant::now(),
             workers: 1,
         }
     }
 
-    /// Flags shutdown; the non-blocking accept loop observes it within
-    /// one park interval without needing a wake-up connection.
+    /// Flags shutdown and wakes the accept thread out of `accept`.
     fn trigger_shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        if !self.stop.swap(true, Ordering::SeqCst) {
+            wake(self.serve_addr);
+        }
     }
 
-    /// The ops accept loop *does* block, so it still gets the classic
-    /// wake-up-connection poke.
+    /// Flags the ops accept loop to exit and wakes it the same way.
     fn trigger_ops_shutdown(&self) {
-        if let Some(addr) = self.ops_addr {
-            if !self.ops_stop.swap(true, Ordering::SeqCst) {
-                let _ = TcpStream::connect(addr);
-            }
+        if !self.ops_stop.swap(true, Ordering::SeqCst) {
+            wake(self.ops_addr);
         }
     }
 
@@ -170,8 +176,7 @@ impl ServerShared<'_> {
 
 /// Bytes read from a socket per `read` call.
 pub(crate) const READ_CHUNK: usize = 64 * 1024;
-/// Bytes read from one connection per sweep before yielding to its
-/// shard neighbours.
+/// Bytes read per pump before the buffered requests are processed.
 const READ_BURST: usize = 256 * 1024;
 /// Unprocessed input cap per connection; a legacy line (or frame
 /// backlog) larger than this drops the connection.
@@ -179,11 +184,27 @@ pub(crate) const MAX_BUFFERED_INPUT: usize = 64 * 1024 * 1024;
 /// Pending-output level above which a connection stops consuming new
 /// requests until the peer drains responses (pipelining backpressure).
 pub(crate) const WRITE_HIGH_WATER: usize = 1024 * 1024;
-/// No-progress sweeps spent on `yield_now` before parking.
+/// No-progress pumps, each after a `yield_now`, before an idle
+/// connection thread sleeps in the kernel.
 const SPIN_SWEEPS: u32 = 128;
-/// First and largest park interval once a shard goes idle.
-const PARK_MIN: Duration = Duration::from_micros(100);
-const PARK_MAX: Duration = Duration::from_millis(2);
+/// Pause after a failed `accept` (out of descriptors or threads), so
+/// the accept thread does not spin on the error.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Unblocks an accept loop sleeping in `accept` on `addr` by connecting
+/// to it. A listener bound to an unspecified address (`0.0.0.0`, `::`)
+/// is reached over loopback.
+fn wake(addr: Option<SocketAddr>) {
+    if let Some(mut addr) = addr {
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect(addr);
+    }
+}
 
 /// Runs the server until a client sends [`Request::Shutdown`]. Returns
 /// the traffic summary after a graceful drain.
@@ -238,7 +259,8 @@ pub fn serve_with_ingest(
     config: ServerConfig,
 ) -> std::io::Result<ServerSummary> {
     let _span = gdcm_obs::span!("serve/server");
-    listener.set_nonblocking(true)?;
+    listener.set_nonblocking(false)?;
+    let serve_addr = Some(listener.local_addr()?);
     let ops_addr = match &ops_listener {
         Some(l) => Some(l.local_addr()?),
         None => None,
@@ -252,9 +274,11 @@ pub fn serve_with_ingest(
         request_errors: AtomicU64::new(0),
         connections: AtomicU64::new(0),
         open_connections: AtomicI64::new(0),
+        spinning: AtomicUsize::new(0),
         telemetry: ops_addr.is_some(),
         draining: AtomicBool::new(false),
         ops_stop: AtomicBool::new(false),
+        serve_addr,
         ops_addr,
         started: Instant::now(),
         workers,
@@ -269,21 +293,9 @@ pub fn serve_with_ingest(
             .filter(|p| p.refresher_needed())
             .map(|p| outer.spawn(move || p.run()));
 
-        // Shards 1.. run on their own threads; shard 0 shares the
-        // accept thread so `workers == 1` spawns nothing.
-        let mut senders: Vec<Sender<TcpStream>> = Vec::with_capacity(workers - 1);
-        let mut shard_handles = Vec::with_capacity(workers - 1);
-        for _ in 1..workers {
-            let (tx, rx) = channel::<TcpStream>();
-            senders.push(tx);
-            shard_handles.push(outer.spawn(move || shard_loop(shared, &rx)));
-        }
-        accept_loop(shared, &listener, senders);
-        for handle in shard_handles {
-            // Shard closures don't panic; join errors would only
-            // reflect a panic escaping the request path's catch-all.
-            let _ = handle.join();
-        }
+        // The inner scope joins every connection thread, so request
+        // traffic has drained before the refresher and ops stop.
+        std::thread::scope(|conns| accept_loop(shared, &listener, conns));
 
         // Request traffic has drained: stop the refresher (mid-refresh
         // work completes — the swap and compaction are not torn), then
@@ -307,129 +319,72 @@ pub fn serve_with_ingest(
     })
 }
 
-/// Shard 0 + accept duty: polls the listener, deals connections round-
-/// robin across shards (itself included), sweeps its own connections,
-/// and on stop closes the shard channels and drains its share.
-fn accept_loop(
-    shared: &ServerShared<'_>,
+/// Accepts connections until shutdown, each onto a thread of its own
+/// in `conns`. Sleeps in `accept`; [`ServerShared::trigger_shutdown`]
+/// wakes it with a connection.
+fn accept_loop<'scope>(
+    shared: &'scope ServerShared<'_>,
     listener: &TcpListener,
-    mut senders: Vec<Sender<TcpStream>>,
+    conns: &'scope Scope<'scope, '_>,
 ) {
-    let slots = senders.len() + 1;
-    let mut rr = 0usize;
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut scratch = Scratch::new();
-    let mut idle: u32 = 0;
-    let mut park = PARK_MIN;
-    loop {
-        let mut progress = false;
-        let stopped = shared.stop.load(Ordering::SeqCst);
-        if stopped {
-            // Channel close is the drain signal the other shards exit on.
-            senders.clear();
-        } else {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        shared.connections.fetch_add(1, Ordering::SeqCst);
-                        progress = true;
-                        let slot = rr % slots;
-                        rr = rr.wrapping_add(1);
-                        if slot == 0 {
-                            conns.push(Conn::new(shared, stream));
-                        } else {
-                            match senders[slot - 1].send(stream) {
-                                Ok(()) => {}
-                                // Unreachable: shards outlive the senders.
-                                Err(back) => conns.push(Conn::new(shared, back.0)),
-                            }
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(e) => {
-                        gdcm_obs::event(
-                            "accept_error",
-                            "serve",
-                            &[("error", gdcm_obs::FieldValue::Str(e.to_string()))],
-                        );
-                        break;
-                    }
-                }
+    while !shared.stop.load(Ordering::SeqCst) {
+        let failed = match listener.accept() {
+            // Arrivals after the stop flag, the wake-up included, are
+            // dropped unserved.
+            Ok(_) if shared.stop.load(Ordering::SeqCst) => break,
+            Ok((stream, _)) => {
+                shared.connections.fetch_add(1, Ordering::SeqCst);
+                std::thread::Builder::new()
+                    .spawn_scoped(conns, move || run_connection(shared, stream))
+                    .err()
             }
+            Err(e) if e.kind() == ErrorKind::Interrupted => None,
+            Err(e) => Some(e),
+        };
+        if let Some(e) = failed {
+            gdcm_obs::event(
+                "accept_error",
+                "serve",
+                &[("error", gdcm_obs::FieldValue::Str(e.to_string()))],
+            );
+            std::thread::sleep(ACCEPT_BACKOFF);
         }
-        progress |= sweep(shared, &mut conns, &mut scratch);
-        if stopped && conns.is_empty() {
-            return;
-        }
-        back_off(progress, &mut idle, &mut park);
     }
 }
 
-/// A spawned shard: sweeps connections handed over the channel until
-/// the channel closes *and* every connection has drained.
-fn shard_loop(shared: &ServerShared<'_>, rx: &Receiver<TcpStream>) {
-    let mut conns: Vec<Conn> = Vec::new();
+/// One connection's thread: pump while there is work, spin briefly if
+/// the CPU budget has a free slot, then sleep in the kernel until the
+/// socket can move again. Returns once the connection is finished.
+fn run_connection(shared: &ServerShared<'_>, stream: TcpStream) {
+    let mut conn = Conn::new(shared, stream);
     let mut scratch = Scratch::new();
-    let mut idle: u32 = 0;
-    let mut park = PARK_MIN;
-    loop {
-        let mut progress = false;
-        let mut closed = false;
-        loop {
-            match rx.try_recv() {
-                Ok(stream) => {
-                    conns.push(Conn::new(shared, stream));
-                    progress = true;
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    closed = true;
-                    break;
-                }
-            }
+    while !conn.dead {
+        if !conn.pump(shared, &mut scratch) && !spin(shared, &mut conn, &mut scratch) {
+            conn.wait();
         }
-        progress |= sweep(shared, &mut conns, &mut scratch);
-        if closed && conns.is_empty() {
-            return;
-        }
-        back_off(progress, &mut idle, &mut park);
     }
+    shared.track_open(-1);
 }
 
-/// Pumps every connection once and reaps the finished ones.
-fn sweep(shared: &ServerShared<'_>, conns: &mut Vec<Conn>, scratch: &mut Scratch) -> bool {
-    let mut progress = false;
-    for conn in conns.iter_mut() {
-        progress |= conn.pump(shared, scratch);
+/// Re-pumps an idle connection after each of up to [`SPIN_SWEEPS`]
+/// `yield_now`s, if one of the `workers` spin slots is free, so traffic
+/// that follows closely is answered without a kernel wake-up. Returns
+/// whether anything moved.
+fn spin(shared: &ServerShared<'_>, conn: &mut Conn, scratch: &mut Scratch) -> bool {
+    let free = |n: usize| (n < shared.workers).then_some(n + 1);
+    if shared
+        .spinning
+        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, free)
+        .is_err()
+    {
+        return false;
     }
-    let before = conns.len();
-    conns.retain(|c| !c.dead);
-    let reaped = before - conns.len();
-    if reaped > 0 {
-        #[allow(clippy::cast_possible_wrap)]
-        shared.track_open(-(reaped as i64));
-        progress = true;
-    }
-    progress
-}
-
-/// Idle strategy: stay hot through `yield_now` while traffic looks
-/// imminent, then park with exponential backoff up to [`PARK_MAX`] so
-/// a quiet server costs ~no CPU but still notices the stop flag fast.
-fn back_off(progress: bool, idle: &mut u32, park: &mut Duration) {
-    if progress {
-        *idle = 0;
-        *park = PARK_MIN;
-    } else {
-        *idle = idle.saturating_add(1);
-        if *idle <= SPIN_SWEEPS {
-            std::thread::yield_now();
-        } else {
-            std::thread::park_timeout(*park);
-            *park = (*park * 2).min(PARK_MAX);
-        }
-    }
+    let woke = (0..SPIN_SWEEPS).any(|_| {
+        std::thread::yield_now();
+        conn.pump(shared, scratch)
+    });
+    shared.spinning.fetch_sub(1, Ordering::SeqCst);
+    woke
 }
 
 /// The byte-stream seam under a connection's state machine. Production
@@ -468,7 +423,7 @@ impl Transport for TcpStream {
     }
 }
 
-/// Per-shard scratch reused across every connection and request: the
+/// Per-connection-thread scratch reused across every request: the
 /// socket read chunk and the response serialize buffer. The legacy
 /// path used to allocate a fresh `String` per response; both protocols
 /// now serialize into this one buffer.
@@ -525,7 +480,7 @@ pub(crate) struct Conn<T: Transport = TcpStream> {
     peer_eof: bool,
     /// Stop reading; close once `out` is flushed.
     pub(crate) closing: bool,
-    /// Finished (or broken): reap on the next sweep.
+    /// Finished (or broken): its thread exits.
     pub(crate) dead: bool,
     /// When the previous request on this connection finished, for the
     /// `read` stage span (includes client idle time, as documented).
@@ -555,7 +510,7 @@ impl<T: Transport> Conn<T> {
         &mut self.stream
     }
 
-    /// One readiness sweep over this connection: read what the socket
+    /// One pass over this connection: read what the socket
     /// has, process every complete request, flush what the socket
     /// takes. Returns whether anything moved.
     pub(crate) fn pump(&mut self, shared: &ServerShared<'_>, scratch: &mut Scratch) -> bool {
@@ -765,8 +720,6 @@ impl<T: Transport> Conn<T> {
                         );
                         shared.requests.fetch_add(1, Ordering::SeqCst);
                         shared.request_errors.fetch_add(1, Ordering::SeqCst);
-                        gdcm_obs::counter("serve/requests").incr();
-                        gdcm_obs::counter("serve/request_errors").incr();
                         self.closing = true;
                         progress = true;
                         continue;
@@ -819,6 +772,29 @@ impl<T: Transport> Conn<T> {
     }
 }
 
+impl Conn {
+    /// Sleeps in the kernel until the socket can move: a blocking
+    /// `write` of pending output, else a blocking `peek` for input or
+    /// EOF. The socket is non-blocking again on return, so the next
+    /// [`Conn::pump`] runs unchanged; a socket error kills the
+    /// connection, as it would in `pump`.
+    fn wait(&mut self) {
+        let waited = self.stream.set_nonblocking(false).and_then(|()| {
+            if self.written < self.out.len() {
+                Write::write(&mut self.stream, &self.out[self.written..]).map(|n| self.written += n)
+            } else {
+                self.stream.peek(&mut [0u8; 1]).map(drop)
+            }
+        });
+        let restored = self.stream.set_nonblocking(true);
+        if let Err(e) = waited.and(restored) {
+            if e.kind() != ErrorKind::Interrupted {
+                self.dead = true;
+            }
+        }
+    }
+}
+
 /// Parses one request line: envelope first (opt-in trace id), bare
 /// request second. A line that is valid JSON but not a valid request
 /// still yields its `trace_id` (if any), so the error response can be
@@ -839,7 +815,7 @@ fn parse_line(line: &str) -> (Option<u64>, Result<Request, String>) {
 }
 
 /// Serves one legacy newline-JSON request: parse, dispatch, serialize
-/// into the shard's reusable buffer, enqueue with a trailing newline.
+/// into the reusable scratch buffer, enqueue with a trailing newline.
 fn handle_legacy_line(
     shared: &ServerShared<'_>,
     scratch: &mut Scratch,
@@ -898,11 +874,9 @@ fn handle_legacy_line(
         }
     };
     shared.requests.fetch_add(1, Ordering::SeqCst);
-    gdcm_obs::counter("serve/requests").incr();
     let is_error = matches!(response, Response::Error { .. });
     if is_error {
         shared.request_errors.fetch_add(1, Ordering::SeqCst);
-        gdcm_obs::counter("serve/request_errors").incr();
     }
 
     let serialized = {
@@ -1016,11 +990,9 @@ fn handle_binary_frame(
         }
     };
     shared.requests.fetch_add(1, Ordering::SeqCst);
-    gdcm_obs::counter("serve/requests").incr();
     let is_error = matches!(response, Response::Error { .. });
     if is_error {
         shared.request_errors.fetch_add(1, Ordering::SeqCst);
-        gdcm_obs::counter("serve/request_errors").incr();
     }
 
     let serialized = {
@@ -1069,9 +1041,10 @@ fn record_telemetry(
     gdcm_obs::windowed_histogram("serve/request_us").record_at(request_us as f64, now_us);
     if let Some(before) = cache_before {
         // Attribute this request's cache activity to the window. Deltas
-        // may briefly include a concurrent shard's lookups; windowed
-        // totals stay exact because every shard records its own delta
-        // against its own `before` snapshot only once per request.
+        // may briefly include a concurrent connection's lookups;
+        // windowed totals stay exact because every connection records
+        // its own delta against its own `before` snapshot only once per
+        // request.
         let after = shared.serving.cache_stats();
         let deltas = [
             (

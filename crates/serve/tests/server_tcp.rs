@@ -102,8 +102,8 @@ fn run_session(workers: usize, seed: u64) {
             Response::Pong
         ));
 
-        // End the first connection before opening the second: at
-        // workers == 1 the accept loop serves connections one at a time.
+        // End the first connection before opening the second, so the
+        // batch below runs on a fresh connection thread.
         drop(client);
 
         // A batch from a second connection — still the same bits.
