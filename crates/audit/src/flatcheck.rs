@@ -1,11 +1,11 @@
 //! Audit pass 4 — flatcheck, frozen-model translation validation
 //! (`GDCM140`–`GDCM159`).
 //!
-//! A [`FrozenGbdt`] / [`FrozenForest`] is a *compiled* artifact: the
-//! pointer-tree ensemble flattened to SoA arrays with thresholds
-//! quantized to `u8` bins on the training grid. The serving hot path
-//! trusts it completely, so this pass certifies — statically, without
-//! sampling — that the compilation preserved the model:
+//! A [`FrozenGbdt`] is a *compiled* artifact: the pointer-tree ensemble
+//! flattened to SoA arrays with thresholds quantized to `u8` bins on the
+//! training grid. The serving hot path trusts it completely, so this
+//! pass certifies — statically, without sampling — that the compilation
+//! preserved the model:
 //!
 //! 1. **Structural bijection** (`GDCM140`–`GDCM147`): slot
 //!    `tree_starts[t] + i` must mirror node `i` of source tree `t`
@@ -29,9 +29,8 @@
 //!    the *same* leaf slot the recursive walk selects.
 //! 4. **Accumulation** (`GDCM154`–`GDCM155`): over the representative
 //!    rows of every live path, the frozen batch predictor must agree
-//!    bit-for-bit with the naive recursive reference (base + leaf sums
-//!    for GBDTs, means for forests), and frozen metadata must match the
-//!    source model.
+//!    bit-for-bit with the naive recursive reference (base + leaf
+//!    sums), and frozen metadata must match the source model.
 //!
 //! Like the ensemble pass, flatcheck never panics and never loops on
 //! corrupt input: traversal-dependent checks run only on trees whose
@@ -46,11 +45,11 @@
 
 use gdcm_analyze::{DiagCode, Diagnostic};
 use gdcm_ml::{
-    bin_code, BinnedMatrix, DenseMatrix, FrozenForest, FrozenGbdt, FrozenNodes, GbdtRegressor,
-    RandomForestRegressor, Regressor as _, Tree, TreeNode, FROZEN_LEAF,
+    bin_code, BinnedMatrix, DenseMatrix, FrozenGbdt, FrozenNodes, GbdtRegressor, Regressor as _,
+    Tree, TreeNode, FROZEN_LEAF,
 };
 
-use crate::ensemble::{reference_forest_predict, reference_predict};
+use crate::ensemble::reference_predict;
 
 /// Upper bound on enumerated root-to-leaf paths per tree (complete for
 /// depths ≤ 12).
@@ -119,64 +118,36 @@ pub fn check_frozen_gbdt(
         cuts: frozen.cut_grid(),
         n_features: frozen.n_features(),
     };
-    let probe = check_frozen_ensemble(&ctx, binned, out);
-    if meta_ok {
-        if let Some(probe) = probe {
-            let reference: Vec<f32> = (0..probe.n_rows())
-                .map(|i| reference_predict(model, probe.row(i)))
-                .collect();
-            let flat = frozen.predict(&probe);
-            check_accumulation(label, &reference, &flat, out);
-        }
-    }
-    bump_counters(out);
-}
-
-/// Forest counterpart of [`check_frozen_gbdt`]: same bijection, grid,
-/// and path checks; the accumulation cross-check compares the frozen
-/// mean against the recursive mean-of-walks reference.
-pub fn check_frozen_forest(
-    label: &str,
-    forest: &RandomForestRegressor,
-    frozen: &FrozenForest,
-    binned: Option<&BinnedMatrix>,
-    out: &mut Vec<Diagnostic>,
-) {
-    let _span = gdcm_obs::span!("audit/flatcheck");
-    let mut meta_ok = true;
-    if frozen.n_features() != forest.n_features() {
-        meta_ok = false;
+    check_grid(label, ctx.cuts, binned, out);
+    if ctx.cuts.len() != ctx.n_features {
         out.push(Diagnostic::network_level(
-            DiagCode::FlatMetadataMismatch,
+            DiagCode::FlatGridMismatch,
             label,
             format!(
-                "frozen forest declares {} features, source declares {}",
-                frozen.n_features(),
-                forest.n_features()
+                "frozen grid covers {} features but the model declares {}",
+                ctx.cuts.len(),
+                ctx.n_features
             ),
         ));
-    }
-    let ctx = FlatCtx {
-        label,
-        trees: forest.trees(),
-        nodes: frozen.nodes(),
-        cuts: frozen.cut_grid(),
-        n_features: frozen.n_features(),
-    };
-    let probe = check_frozen_ensemble(&ctx, binned, out);
-    if meta_ok && !forest.trees().is_empty() {
-        if let Some(probe) = probe {
-            let reference: Vec<f32> = (0..probe.n_rows())
-                .map(|i| reference_forest_predict(forest, probe.row(i)))
-                .collect();
+    } else if arena_shape_ok(&ctx, out) {
+        let tree_indices: Vec<usize> = (0..ctx.trees.len()).collect();
+        let audits: Vec<FlatTreeAudit> =
+            gdcm_par::pool().par_map(&tree_indices, |&t| audit_flat_tree(&ctx, t));
+        let all_safe = audits.iter().all(|a| a.traversal_safe);
+        let mut rows: Vec<Vec<f32>> = Vec::new();
+        for mut audit in audits {
+            out.append(&mut audit.diags);
+            rows.append(&mut audit.probe);
+        }
+        // The accumulation cross-check is meaningful only when every
+        // tree verified traversal-safe.
+        if meta_ok && all_safe && !rows.is_empty() {
+            let probe = DenseMatrix::from_rows(&rows);
+            let reference: Vec<f32> = rows.iter().map(|r| reference_predict(model, r)).collect();
             let flat = frozen.predict(&probe);
             check_accumulation(label, &reference, &flat, out);
         }
     }
-    bump_counters(out);
-}
-
-fn bump_counters(out: &[Diagnostic]) {
     gdcm_obs::counter("audit/flatchecks").incr();
     let flat_diags = out
         .iter()
@@ -184,48 +155,6 @@ fn bump_counters(out: &[Diagnostic]) {
         .count();
     if flat_diags > 0 {
         gdcm_obs::counter("audit/flatchecks_flagged").incr();
-    }
-}
-
-/// The ensemble-shape portion shared by both wrappers. Returns the
-/// synthesized probe matrix when every tree verified traversal-safe (so
-/// the accumulation cross-check is meaningful), `None` otherwise.
-fn check_frozen_ensemble(
-    ctx: &FlatCtx<'_>,
-    binned: Option<&BinnedMatrix>,
-    out: &mut Vec<Diagnostic>,
-) -> Option<DenseMatrix> {
-    check_grid(ctx.label, ctx.cuts, binned, out);
-    if ctx.cuts.len() != ctx.n_features {
-        out.push(Diagnostic::network_level(
-            DiagCode::FlatGridMismatch,
-            ctx.label,
-            format!(
-                "frozen grid covers {} features but the model declares {}",
-                ctx.cuts.len(),
-                ctx.n_features
-            ),
-        ));
-        return None;
-    }
-    if !arena_shape_ok(ctx, out) {
-        return None;
-    }
-
-    let tree_indices: Vec<usize> = (0..ctx.trees.len()).collect();
-    let audits: Vec<FlatTreeAudit> =
-        gdcm_par::pool().par_map(&tree_indices, |&t| audit_flat_tree(ctx, t));
-
-    let all_safe = audits.iter().all(|a| a.traversal_safe);
-    let mut rows: Vec<Vec<f32>> = Vec::new();
-    for mut audit in audits {
-        out.append(&mut audit.diags);
-        rows.append(&mut audit.probe);
-    }
-    if all_safe && !rows.is_empty() {
-        Some(DenseMatrix::from_rows(&rows))
-    } else {
-        None
     }
 }
 
@@ -842,17 +771,6 @@ mod tests {
         let frozen = FrozenGbdt::freeze(&model, &binned).expect("fitted model freezes");
         let mut diags = Vec::new();
         check_frozen_gbdt("t/gbdt", &model, &frozen, Some(&binned), &mut diags);
-        assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn certified_forest_translation_is_clean() {
-        let (x, y) = synthetic(180, 3);
-        let forest = RandomForestRegressor::fit(&x, &y, 12, 7, 9);
-        let binned = BinnedMatrix::from_matrix(&x, gdcm_ml::FOREST_BINS);
-        let frozen = FrozenForest::freeze(&forest, &binned).expect("fitted forest freezes");
-        let mut diags = Vec::new();
-        check_frozen_forest("t/forest", &forest, &frozen, Some(&binned), &mut diags);
         assert!(diags.is_empty(), "{diags:?}");
     }
 }

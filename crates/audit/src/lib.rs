@@ -63,7 +63,7 @@ pub use ensemble::{
     check_ensemble, check_forest, check_importance, check_predictions, reference_forest_predict,
     reference_predict, EnsembleContext,
 };
-pub use flatcheck::{check_frozen_forest, check_frozen_gbdt, MAX_PATHS_PER_TREE};
+pub use flatcheck::{check_frozen_gbdt, MAX_PATHS_PER_TREE};
 pub use folds::{check_folds, check_leave_device_out, check_signature, check_split};
 
 use gdcm_analyze::{DiagCode, Diagnostic, Report};

@@ -11,7 +11,8 @@
 //! split, and audits each trained model — tree structure, threshold
 //! grid, bit-for-bit reference prediction, dataset lints, fold hygiene,
 //! and the flatcheck translation validation of each model's compiled
-//! (frozen SoA) form — plus a zoo-trained random forest's frozen form
+//! (frozen SoA) form — plus the ensemble audit of a zoo-trained random
+//! forest (an unserved ablation baseline, so not frozen or flatchecked)
 //! and the leave-device-out fold plan. Writes one model card per model
 //! as JSON (default `target/reports/gdcm-audit-cards.json`) and exits
 //! non-zero if *any* diagnostic — error or warning — was produced.
@@ -135,62 +136,30 @@ fn audit_artifacts(
         .with_frozen(&artifacts.frozen)
 }
 
-/// Trains a random forest on one artifact set's training rows, freezes
-/// it, and flatchecks the frozen form — the forest counterpart of the
-/// GBDT sweep, surfaced as a synthetic card.
+/// Trains a random forest on one artifact set's training rows and runs
+/// the ensemble audit on it — the forest counterpart of the GBDT sweep,
+/// surfaced as a synthetic card. Forests are an ablation baseline and
+/// never served, so they are not frozen or flatchecked.
 fn audit_zoo_forest(artifacts: &TrainedArtifacts, seed: u64) -> ModelCard {
     let label = "forest/zoo";
     let forest =
         gdcm_ml::RandomForestRegressor::fit(&artifacts.x_train, &artifacts.y_train, 20, 7, seed);
-    let binned = gdcm_ml::BinnedMatrix::from_matrix(&artifacts.x_train, gdcm_ml::FOREST_BINS);
     let mut report = gdcm_analyze::Report::new(label);
     let probe_rows: Vec<usize> =
         (0..artifacts.x_train.n_rows().min(gdcm_audit::probe_rows())).collect();
     let probe = artifacts.x_train.select_rows(&probe_rows);
     gdcm_audit::check_forest(label, &forest, Some(&probe), &mut report.diagnostics);
-    match gdcm_ml::FrozenForest::freeze(&forest, &binned) {
-        Ok(frozen) => {
-            gdcm_audit::check_frozen_forest(
-                label,
-                &forest,
-                &frozen,
-                Some(&binned),
-                &mut report.diagnostics,
-            );
-            ModelCard {
-                subject: label.to_string(),
-                n_trees: forest.n_trees(),
-                n_features: forest.n_features(),
-                base_score: 0.0,
-                n_leaves: 0,
-                max_depth: 0,
-                n_train_rows: artifacts.x_train.n_rows(),
-                flatchecked: true,
-                frozen_slots: frozen.n_slots(),
-                report,
-            }
-        }
-        Err(e) => {
-            report
-                .diagnostics
-                .push(gdcm_analyze::Diagnostic::network_level(
-                    gdcm_analyze::DiagCode::FlatArenaShapeMismatch,
-                    label,
-                    format!("zoo forest failed to freeze on its own grid: {e}"),
-                ));
-            ModelCard {
-                subject: label.to_string(),
-                n_trees: forest.n_trees(),
-                n_features: forest.n_features(),
-                base_score: 0.0,
-                n_leaves: 0,
-                max_depth: 0,
-                n_train_rows: artifacts.x_train.n_rows(),
-                flatchecked: false,
-                frozen_slots: 0,
-                report,
-            }
-        }
+    ModelCard {
+        subject: label.to_string(),
+        n_trees: forest.n_trees(),
+        n_features: forest.n_features(),
+        base_score: 0.0,
+        n_leaves: 0,
+        max_depth: 0,
+        n_train_rows: artifacts.x_train.n_rows(),
+        flatchecked: false,
+        frozen_slots: 0,
+        report,
     }
 }
 

@@ -9,11 +9,8 @@
 
 use proptest::prelude::*;
 
-use gdcm_audit::{check_frozen_forest, check_frozen_gbdt, reference_forest_predict};
-use gdcm_ml::{
-    BinnedMatrix, DenseMatrix, FrozenForest, FrozenGbdt, GbdtParams, GbdtRegressor,
-    RandomForestRegressor, Regressor as _, FOREST_BINS,
-};
+use gdcm_audit::check_frozen_gbdt;
+use gdcm_ml::{BinnedMatrix, DenseMatrix, FrozenGbdt, GbdtParams, GbdtRegressor, Regressor as _};
 
 /// One generated case: freeze, certify, and compare bit-for-bit against
 /// the recursive reference at whatever thread count is currently set.
@@ -65,34 +62,6 @@ fn check_one(rows: &[Vec<f32>], n_features: usize, max_bins: usize) -> Result<()
             reference.to_bits(),
             frozen.predict_row(row).to_bits(),
             "gbdt predict_row {} diverged",
-            i
-        );
-    }
-
-    // Forest counterpart over the same rows.
-    let forest = RandomForestRegressor::fit(&x, &y, 6, 5, 11);
-    let fbinned = BinnedMatrix::from_matrix(&x, FOREST_BINS);
-    let ffrozen = FrozenForest::freeze(&forest, &fbinned)
-        .map_err(|e| TestCaseError::Fail(format!("forest freeze failed: {e}")))?;
-    let mut fdiags = Vec::new();
-    check_frozen_forest(
-        "prop/forest",
-        &forest,
-        &ffrozen,
-        Some(&fbinned),
-        &mut fdiags,
-    );
-    prop_assert!(
-        fdiags.is_empty(),
-        "flatcheck flagged a forest: {:?}",
-        fdiags
-    );
-    let fbatch = ffrozen.predict(&probe);
-    for (i, row) in probe_rows.iter().enumerate() {
-        prop_assert_eq!(
-            reference_forest_predict(&forest, row).to_bits(),
-            fbatch[i].to_bits(),
-            "forest batch row {} diverged",
             i
         );
     }

@@ -724,6 +724,20 @@ mod tests {
         }
         let r2 = r2_score(&actual, &predicted);
         assert!(r2 > 0.5, "new-device R² {r2}");
+
+        // Networks outside the suite (the NAS use case), including
+        // deeper ones the encoder truncates, must predict too.
+        let mut generator =
+            gdcm_gen::RandomNetworkGenerator::new(gdcm_gen::SearchSpace::tiny(), 987);
+        for i in 0..5 {
+            let net = generator
+                .generate(format!("fresh{i}"))
+                .expect("generator emits only valid networks");
+            let p = repo
+                .predict_for_new_device(&lat, &net)
+                .expect("repository is fitted");
+            assert!(p.is_finite() && p > 0.0, "fresh{i}: {p}");
+        }
     }
 
     #[test]

@@ -13,11 +13,7 @@ use crate::tree::{Tree, TreeParams};
 use crate::Regressor;
 
 /// Histogram bin budget used by [`RandomForestRegressor::fit`].
-///
-/// Public so callers that need the forest's split grid (freezing via
-/// [`crate::FrozenForest::freeze`], the flatcheck auditor) can rebuild
-/// the exact `BinnedMatrix` the fit quantized against.
-pub const FOREST_BINS: usize = 64;
+const FOREST_BINS: usize = 64;
 
 /// Bagged ensemble of deep regression trees with per-tree feature
 /// subsampling.
@@ -115,24 +111,12 @@ impl Regressor for RandomForestRegressor {
         (sum / self.trees.len() as f64) as f32
     }
 
-    /// Chunked batch prediction (same contract as the GBDT override:
-    /// flattened per-chunk outputs equal the serial row loop exactly).
+    /// Chunked batch prediction on the `gdcm-par` pool, bit-identical
+    /// to the serial row loop at any thread count.
     fn predict(&self, x: &DenseMatrix) -> Vec<f32> {
-        let pool = gdcm_par::pool();
-        let work = x.n_rows().saturating_mul(self.trees.len().max(1));
-        if pool.threads() <= 1 || work < (1 << 15) {
-            return (0..x.n_rows())
-                .map(|i| self.predict_row(x.row(i)))
-                .collect();
-        }
-        pool.par_chunks(x.n_rows(), 256, |range| {
-            range
-                .map(|i| self.predict_row(x.row(i)))
-                .collect::<Vec<f32>>()
+        crate::par_predict(x.n_rows(), self.trees.len(), |range| {
+            range.map(|i| self.predict_row(x.row(i))).collect()
         })
-        .into_iter()
-        .flatten()
-        .collect()
     }
 }
 

@@ -1,11 +1,11 @@
 //! Frozen (compiled) tree inference: pointer-free SoA ensembles with
 //! quantized thresholds.
 //!
-//! [`FrozenGbdt`] and [`FrozenForest`] flatten every fitted tree into
-//! contiguous struct-of-arrays storage — feature index, threshold *bin*,
-//! absolute child slots, leaf value — so batch prediction is integer
-//! compares over pre-binned rows instead of pointer-chasing
-//! [`TreeNode`] arenas and re-comparing raw `f32` thresholds per node.
+//! [`FrozenGbdt`] flattens every fitted tree into contiguous
+//! struct-of-arrays storage — feature index, threshold *bin*, absolute
+//! child slots, leaf value — so batch prediction is integer compares
+//! over pre-binned rows instead of pointer-chasing [`TreeNode`] arenas
+//! and re-comparing raw `f32` thresholds per node.
 //!
 //! # Why quantized traversal stays bit-identical
 //!
@@ -28,8 +28,8 @@
 //! [`FrozenGbdt::freeze`] enforces and the `gdcm-audit` flatcheck pass
 //! re-proves symbolically over every bin edge. Accumulation order is
 //! also preserved: one `f64` accumulator per row, trees added in
-//! boosting order starting from the base score (mean for forests),
-//! matching [`GbdtRegressor::predict_row`] addition for addition.
+//! boosting order starting from the base score, matching
+//! [`GbdtRegressor::predict_row`] addition for addition.
 //!
 //! Frozen models are *produced* only by validated freezing; the
 //! [`FrozenGbdt::from_raw_parts`] escape hatch exists for the auditor's
@@ -43,7 +43,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::binning::{bin_code, BinnedMatrix};
 use crate::dataset::DenseMatrix;
-use crate::forest::RandomForestRegressor;
 use crate::gbdt::GbdtRegressor;
 use crate::tree::{Tree, TreeNode};
 use crate::Regressor;
@@ -51,12 +50,6 @@ use crate::Regressor;
 /// Sentinel stored in [`FrozenNodes`] `feature` (and in the child slots
 /// of leaves): this slot is a leaf, read its `leaf` value.
 pub const FROZEN_LEAF: u32 = u32::MAX;
-
-/// Minimum `rows × trees` work below which batch prediction stays on
-/// the serial loop (same gate as the node-based predictors).
-const PAR_PREDICT_MIN_WORK: usize = 1 << 15;
-/// Minimum rows per prediction chunk.
-const PAR_PREDICT_MIN_CHUNK: usize = 256;
 
 /// Contiguous SoA storage for a whole ensemble of flattened trees.
 ///
@@ -195,8 +188,6 @@ pub enum FreezeError {
         /// Tree index.
         tree: usize,
     },
-    /// A forest with no trees cannot be frozen (its mean is undefined).
-    EmptyForest,
     /// A split references a feature outside the model width.
     FeatureOutOfRange {
         /// Tree index.
@@ -242,7 +233,6 @@ impl std::fmt::Display for FreezeError {
                 write!(f, "model has {model} features but the bin grid has {grid}")
             }
             Self::EmptyTree { tree } => write!(f, "tree {tree} has an empty node arena"),
-            Self::EmptyForest => write!(f, "cannot freeze a forest with no trees"),
             Self::FeatureOutOfRange {
                 tree,
                 node,
@@ -363,13 +353,6 @@ fn freeze_trees(
     Ok(out)
 }
 
-/// Clones the full per-feature cut grid out of a binned matrix.
-fn clone_grid(binned: &BinnedMatrix) -> Vec<Vec<f32>> {
-    (0..binned.n_features())
-        .map(|f| binned.cuts(f).to_vec())
-        .collect()
-}
-
 /// Bins one raw row onto a frozen cut grid.
 fn bin_row(cuts: &[Vec<f32>], row: &[f32], codes: &mut [u8]) {
     for (f, code) in codes.iter_mut().enumerate() {
@@ -407,7 +390,9 @@ impl FrozenGbdt {
                 grid: binned.n_features(),
             });
         }
-        let cuts = clone_grid(binned);
+        let cuts: Vec<Vec<f32>> = (0..binned.n_features())
+            .map(|f| binned.cuts(f).to_vec())
+            .collect();
         let nodes = freeze_trees(model.trees(), &cuts, model.n_features())?;
         gdcm_obs::counter("ml/frozen/gbdt_freezes").incr();
         Ok(Self {
@@ -514,162 +499,12 @@ impl Regressor for FrozenGbdt {
         self.predict_binned(&codes)
     }
 
-    /// Chunked batch-major prediction on the `gdcm-par` pool:
-    /// bit-identical to the serial row loop at any thread count (rows
-    /// are independent, chunks merge in submission order).
+    /// Chunked batch-major prediction on the `gdcm-par` pool,
+    /// bit-identical to the serial row loop at any thread count.
     fn predict(&self, x: &DenseMatrix) -> Vec<f32> {
-        let pool = gdcm_par::pool();
-        let work = x.n_rows().saturating_mul(self.n_trees().max(1));
-        if pool.threads() <= 1 || work < PAR_PREDICT_MIN_WORK {
-            return self.predict_chunk(x, 0..x.n_rows());
-        }
-        pool.par_chunks(x.n_rows(), PAR_PREDICT_MIN_CHUNK, |range| {
+        crate::par_predict(x.n_rows(), self.n_trees(), |range| {
             self.predict_chunk(x, range)
         })
-        .into_iter()
-        .flatten()
-        .collect()
-    }
-}
-
-/// A [`RandomForestRegressor`] compiled to SoA arrays (mean of leaves
-/// instead of base-plus-sum). Construct via [`FrozenForest::freeze`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FrozenForest {
-    n_features: usize,
-    cuts: Vec<Vec<f32>>,
-    nodes: FrozenNodes,
-}
-
-impl FrozenForest {
-    /// Freezes a fitted forest onto the bin grid of `binned` — the
-    /// rebuild of its training matrix at [`crate::forest::FOREST_BINS`].
-    ///
-    /// # Errors
-    ///
-    /// Any [`FreezeError`], including [`FreezeError::EmptyForest`].
-    pub fn freeze(
-        forest: &RandomForestRegressor,
-        binned: &BinnedMatrix,
-    ) -> Result<Self, FreezeError> {
-        let _span = gdcm_obs::span!("ml/freeze_forest");
-        if binned.n_features() != forest.n_features() {
-            return Err(FreezeError::GridWidthMismatch {
-                model: forest.n_features(),
-                grid: binned.n_features(),
-            });
-        }
-        if forest.trees().is_empty() {
-            return Err(FreezeError::EmptyForest);
-        }
-        let cuts = clone_grid(binned);
-        let nodes = freeze_trees(forest.trees(), &cuts, forest.n_features())?;
-        gdcm_obs::counter("ml/frozen/forest_freezes").incr();
-        Ok(Self {
-            n_features: forest.n_features(),
-            cuts,
-            nodes,
-        })
-    }
-
-    /// Feature width the forest scores.
-    pub fn n_features(&self) -> usize {
-        self.n_features
-    }
-
-    /// Number of flattened trees.
-    pub fn n_trees(&self) -> usize {
-        self.nodes.n_trees()
-    }
-
-    /// Total SoA slot count.
-    pub fn n_slots(&self) -> usize {
-        self.nodes.n_slots()
-    }
-
-    /// The ascending cut points of feature `f`.
-    pub fn cuts(&self, f: usize) -> &[f32] {
-        &self.cuts[f]
-    }
-
-    /// The full per-feature cut grid.
-    pub fn cut_grid(&self) -> &[Vec<f32>] {
-        &self.cuts
-    }
-
-    /// Read-only view of the SoA storage.
-    pub fn nodes(&self) -> &FrozenNodes {
-        &self.nodes
-    }
-
-    /// Assembles a frozen forest from raw parts **without validation**
-    /// (negative-test escape hatch).
-    pub fn from_raw_parts(n_features: usize, cuts: Vec<Vec<f32>>, nodes: FrozenNodes) -> Self {
-        Self {
-            n_features,
-            cuts,
-            nodes,
-        }
-    }
-
-    /// Decomposes into `(n_features, cuts, nodes)`. Inverse of
-    /// [`FrozenForest::from_raw_parts`].
-    pub fn into_raw_parts(self) -> (usize, Vec<Vec<f32>>, FrozenNodes) {
-        (self.n_features, self.cuts, self.nodes)
-    }
-
-    /// Scores one pre-binned row: `f64` leaf sum in tree order divided
-    /// by the tree count — the exact arithmetic of
-    /// [`RandomForestRegressor::predict_row`].
-    pub fn predict_binned(&self, codes: &[u8]) -> f32 {
-        let n = self.nodes.n_trees();
-        let mut sum = 0.0f64;
-        for t in 0..n {
-            sum += self.nodes.eval_tree(t, codes) as f64;
-        }
-        (sum / n as f64) as f32
-    }
-
-    fn predict_chunk(&self, x: &DenseMatrix, range: Range<usize>) -> Vec<f32> {
-        let rows = range.len();
-        let nf = self.n_features;
-        let mut codes = vec![0u8; rows * nf];
-        for (k, r) in range.enumerate() {
-            bin_row(&self.cuts, x.row(r), &mut codes[k * nf..(k + 1) * nf]);
-        }
-        let n = self.nodes.n_trees();
-        let mut sum = vec![0.0f64; rows];
-        for t in 0..n {
-            for (k, s) in sum.iter_mut().enumerate() {
-                *s += self.nodes.eval_tree(t, &codes[k * nf..(k + 1) * nf]) as f64;
-            }
-        }
-        sum.into_iter().map(|s| (s / n as f64) as f32).collect()
-    }
-}
-
-impl Regressor for FrozenForest {
-    fn predict_row(&self, row: &[f32]) -> f32 {
-        debug_assert_eq!(row.len(), self.n_features, "feature count mismatch");
-        let mut codes = vec![0u8; self.n_features];
-        bin_row(&self.cuts, row, &mut codes);
-        self.predict_binned(&codes)
-    }
-
-    /// Chunked batch-major prediction (same contract as
-    /// [`FrozenGbdt::predict`]).
-    fn predict(&self, x: &DenseMatrix) -> Vec<f32> {
-        let pool = gdcm_par::pool();
-        let work = x.n_rows().saturating_mul(self.n_trees().max(1));
-        if pool.threads() <= 1 || work < PAR_PREDICT_MIN_WORK {
-            return self.predict_chunk(x, 0..x.n_rows());
-        }
-        pool.par_chunks(x.n_rows(), PAR_PREDICT_MIN_CHUNK, |range| {
-            self.predict_chunk(x, range)
-        })
-        .into_iter()
-        .flatten()
-        .collect()
     }
 }
 
@@ -735,23 +570,6 @@ mod tests {
                 flat.to_bits(),
                 "row {i}: node {node} vs flat {flat}"
             );
-            assert_eq!(b.to_bits(), node.to_bits(), "batch row {i}");
-        }
-    }
-
-    #[test]
-    fn frozen_forest_is_bit_identical_to_node_model() {
-        let (x, y) = synthetic(200, 4);
-        let forest = RandomForestRegressor::fit(&x, &y, 15, 7, 3);
-        let binned = BinnedMatrix::from_matrix(&x, crate::forest::FOREST_BINS);
-        let frozen = FrozenForest::freeze(&forest, &binned).expect("fitted forest freezes");
-
-        let probe = probe_rows(&x);
-        let batch = frozen.predict(&probe);
-        for (i, b) in batch.iter().enumerate() {
-            let node = forest.predict_row(probe.row(i));
-            let flat = frozen.predict_row(probe.row(i));
-            assert_eq!(node.to_bits(), flat.to_bits(), "row {i}");
             assert_eq!(b.to_bits(), node.to_bits(), "batch row {i}");
         }
     }

@@ -17,12 +17,6 @@ use crate::dataset::DenseMatrix;
 use crate::tree::{SharedFit, Tree, TreeParams};
 use crate::Regressor;
 
-/// Minimum `rows × trees` work below which batch prediction stays on
-/// the plain serial loop (chunk dispatch would cost more than it buys).
-const PAR_PREDICT_MIN_WORK: usize = 1 << 15;
-/// Minimum rows per prediction chunk, keeping per-chunk overhead small.
-const PAR_PREDICT_MIN_CHUNK: usize = 256;
-
 /// Hyper-parameters for [`GbdtRegressor`].
 ///
 /// ```
@@ -454,25 +448,12 @@ impl Regressor for GbdtRegressor {
         acc as f32
     }
 
-    /// Chunked batch prediction on the `gdcm-par` pool. Rows are
-    /// independent, so the flattened per-chunk outputs are bit-identical
+    /// Chunked batch prediction on the `gdcm-par` pool, bit-identical
     /// to the serial row loop at any thread count.
     fn predict(&self, x: &DenseMatrix) -> Vec<f32> {
-        let pool = gdcm_par::pool();
-        let work = x.n_rows().saturating_mul(self.trees.len().max(1));
-        if pool.threads() <= 1 || work < PAR_PREDICT_MIN_WORK {
-            return (0..x.n_rows())
-                .map(|i| self.predict_row(x.row(i)))
-                .collect();
-        }
-        pool.par_chunks(x.n_rows(), PAR_PREDICT_MIN_CHUNK, |range| {
-            range
-                .map(|i| self.predict_row(x.row(i)))
-                .collect::<Vec<f32>>()
+        crate::par_predict(x.n_rows(), self.trees.len(), |range| {
+            range.map(|i| self.predict_row(x.row(i))).collect()
         })
-        .into_iter()
-        .flatten()
-        .collect()
     }
 }
 

@@ -9,9 +9,10 @@
 //! * [`ServingRepository`] — a thread-safe façade adding a
 //!   content-hash-keyed LRU cache for network encodings (the repository
 //!   used to re-encode the network on every `predict`), a
-//!   `(device, network-hash)` LRU for finished predictions, and a
-//!   [`ServingRepository::predict_batch`] path routed through the
-//!   `gdcm-par` chunked batch predictor instead of per-row calls.
+//!   `(device, network-hash)` LRU for finished predictions, and one
+//!   predict routine ([`ServingRepository::predict`] is a one-network
+//!   [`ServingRepository::predict_batch`]) routed through the `gdcm-par`
+//!   chunked batch predictor instead of per-row calls.
 //!   Cached and batched answers are **bit-identical** to the uncached
 //!   single-row path — the caches only skip work, never change it.
 //! * [`snapshot`] — versioned serde persistence of the full repository

@@ -9,9 +9,9 @@
 //! * the encoding cache stores the exact `Vec<f32>` that
 //!   `NetworkEncoder::encode` (a deterministic function) produces;
 //! * the prediction cache stores the exact `f64` a cold call computed;
-//! * the batch path goes through `GbdtRegressor::predict`, whose
-//!   `gdcm-par` chunked implementation is an ordered map of the same
-//!   `predict_row` the single-row path calls.
+//! * misses go through `CollaborativeRepository::predict_rows`, whose
+//!   `gdcm-par` chunked frozen predictor is an ordered map of the same
+//!   per-row arithmetic the single-row path uses.
 //!
 //! Caches only skip work; they never change it.
 //!
@@ -19,28 +19,32 @@
 //!
 //! Networks are keyed by a 64-bit FNV-1a hash of their structure
 //! ([`network_hash`]) — a *content* hash, so structurally identical
-//! networks share cache entries no matter how the caller built them. Predictions are keyed by `(device name, network hash)` and
+//! networks share cache entries no matter how the caller built them.
+//! Predictions are keyed by `(device name, network hash)` and
 //! invalidated whenever the model or a device signature changes
 //! ([`ServingRepository::fit`], [`ServingRepository::re_enroll`],
 //! [`ServingRepository::install_refit`]).
 //!
-//! ## Epoch-guarded inserts
+//! ## One predict routine, epoch-guarded inserts
 //!
-//! A prediction is computed under the repository *read* guard, which is
-//! released before the cache insert (holding it across the insert would
-//! serialize readers on the cache mutex). That leaves a window where a
-//! concurrent fit/re-enroll can clear the cache *before* the insert
-//! lands — which used to leave one permanently stale entry. Every
-//! computed value therefore carries the model epoch it was computed
-//! under, and the insert is discarded (counter
-//! `serve/pred_cache_stale_discard`) unless the epoch still matches the
-//! cache's own epoch mirror at publish time.
+//! [`ServingRepository::predict`] is a one-network
+//! [`ServingRepository::predict_batch`]: a single routine probes the
+//! cache, computes the misses, and publishes them. A prediction is
+//! computed under the repository *read* guard, which is released before
+//! the cache insert (holding it across the insert would serialize
+//! readers on the cache mutex). That leaves a window where a concurrent
+//! fit/re-enroll can clear the cache *before* the insert lands — which
+//! used to leave one permanently stale entry. Every computed value
+//! therefore carries the model epoch it was computed under, and the
+//! insert is discarded (counter `serve/pred_cache_stale_discard`)
+//! unless the epoch still matches the cache's own epoch mirror at
+//! publish time.
 
 use gdcm_core::{CollaborativeRepository, RepositoryError};
 use gdcm_dnn::Network;
 use gdcm_ml::{DenseMatrix, FrozenGbdt, GbdtRegressor};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashSet;
+use std::collections::hash_map::{Entry, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -240,76 +244,25 @@ impl ServingRepository {
     ) -> Arc<Vec<f32>> {
         if let Some(enc) = self.encodings.lock().get(&hash) {
             self.enc_hits.fetch_add(1, Ordering::Relaxed);
-            gdcm_obs::counter("serve/enc_cache_hit").incr();
             return Arc::clone(enc);
         }
         self.enc_misses.fetch_add(1, Ordering::Relaxed);
-        gdcm_obs::counter("serve/enc_cache_miss").incr();
         let enc = Arc::new(repo.encoder().encode(network));
         self.encodings.lock().insert(hash, Arc::clone(&enc));
         enc
     }
 
     /// Predicts the latency (ms) of `network` on an enrolled device,
-    /// serving from the prediction cache when possible.
+    /// serving from the prediction cache when possible: a one-network
+    /// [`ServingRepository::predict_batch`], so both share cache entries
+    /// and counters.
     ///
     /// # Errors
     ///
     /// Same contract as [`CollaborativeRepository::predict`].
     pub fn predict(&self, device: &str, network: &Network) -> Result<f64, ServeError> {
-        self.predict_hooked(device, network, || {})
-    }
-
-    /// [`ServingRepository::predict`] with a test hook invoked between
-    /// releasing the repository read guard and publishing the computed
-    /// value to the prediction cache — the window where a concurrent
-    /// fit/re-enroll can make the value stale. The race-regression test
-    /// forces that interleaving here; production code calls `predict`,
-    /// which passes a no-op.
-    #[doc(hidden)]
-    pub fn predict_hooked(
-        &self,
-        device: &str,
-        network: &Network,
-        between_compute_and_insert: impl FnOnce(),
-    ) -> Result<f64, ServeError> {
         let _span = gdcm_obs::span!("serve/predict");
-        let hash = network_hash(network);
-        let key = (device.to_string(), hash);
-        {
-            // Request-trace stages are free when no context is active.
-            let _stage = gdcm_obs::reqtrace::stage("cache_lookup");
-            if let Some(&value) = self.predictions.lock().get(&key) {
-                self.pred_hits.fetch_add(1, Ordering::Relaxed);
-                gdcm_obs::counter("serve/pred_cache_hit").incr();
-                return Ok(value);
-            }
-        }
-        self.pred_misses.fetch_add(1, Ordering::Relaxed);
-        gdcm_obs::counter("serve/pred_cache_miss").incr();
-        let (value, epoch) = {
-            let _stage = gdcm_obs::reqtrace::stage("predict");
-            let repo = self.repo.read();
-            let hw = repo
-                .device_signature(device)
-                .ok_or_else(|| RepositoryError::UnknownDevice(device.to_string()))?
-                .to_vec();
-            let enc = self.cached_encoding(&repo, hash, network);
-            let mut row = (*enc).clone();
-            row.extend_from_slice(&hw);
-            let rows = DenseMatrix::from_rows(std::slice::from_ref(&row));
-            // Capture the epoch while still holding the read guard: it
-            // names exactly the model this value came from.
-            (repo.predict_rows(&rows)?[0], repo.model_epoch())
-        };
-        between_compute_and_insert();
-        let mut cache = self.predictions.lock();
-        if self.cache_epoch.load(Ordering::Acquire) == epoch {
-            cache.insert(key, value);
-        } else {
-            gdcm_obs::counter("serve/pred_cache_stale_discard").incr();
-        }
-        Ok(value)
+        Ok(self.predict_batch_hooked(device, std::slice::from_ref(network), || {})?[0])
     }
 
     /// Answers a `Predict` straight from the prediction cache, keyed by
@@ -327,7 +280,6 @@ impl ServingRepository {
         let key = (device.to_string(), hash);
         let value = *self.predictions.lock().get(&key)?;
         self.pred_hits.fetch_add(1, Ordering::Relaxed);
-        gdcm_obs::counter("serve/pred_cache_hit").incr();
         Some(value)
     }
 
@@ -359,13 +311,18 @@ impl ServingRepository {
         device: &str,
         networks: &[Network],
     ) -> Result<Vec<f64>, ServeError> {
+        let _span = gdcm_obs::span!("serve/predict_batch");
         self.predict_batch_hooked(device, networks, || {})
     }
 
-    /// [`ServingRepository::predict_batch`] with the same test hook as
-    /// [`ServingRepository::predict_hooked`]: invoked after the batch
-    /// is computed (read guard released) and before its values are
-    /// published to the cache.
+    /// The one predict routine behind [`ServingRepository::predict`] and
+    /// [`ServingRepository::predict_batch`] — cache probe, compute of
+    /// the misses, epoch-guarded publish — with a test hook invoked
+    /// between releasing the repository read guard and publishing the
+    /// computed values to the prediction cache: the window where a
+    /// concurrent fit/re-enroll can make them stale. The race-regression
+    /// tests force that interleaving here; production callers pass a
+    /// no-op.
     #[doc(hidden)]
     pub fn predict_batch_hooked(
         &self,
@@ -373,18 +330,18 @@ impl ServingRepository {
         networks: &[Network],
         between_compute_and_insert: impl FnOnce(),
     ) -> Result<Vec<f64>, ServeError> {
-        let _span = gdcm_obs::span!("serve/predict_batch");
         let hashes: Vec<u64> = networks.iter().map(network_hash).collect();
         let mut out = vec![0f64; networks.len()];
         // Positions whose hash missed and was *first seen* there — each
         // unique network is computed (and counted as a miss) once.
         let mut misses: Vec<usize> = Vec::new();
-        // Positions repeating a hash already queued in `misses`; they
-        // reuse its computed value and count neither as hit nor miss.
-        let mut dup_misses: Vec<usize> = Vec::new();
+        // `(position, index into misses)` of networks repeating a queued
+        // miss; they reuse its value and count neither as hit nor miss.
+        let mut dup_misses: Vec<(usize, usize)> = Vec::new();
         {
+            // Request-trace stages are free when no context is active.
             let _stage = gdcm_obs::reqtrace::stage("cache_lookup");
-            let mut queued: HashSet<u64> = HashSet::new();
+            let mut queued: HashMap<u64, usize> = HashMap::new();
             // One reusable key for the whole probe loop: mutate the
             // hash half instead of re-allocating the device name per
             // network.
@@ -396,18 +353,23 @@ impl ServingRepository {
                     Some(&value) => {
                         out[i] = value;
                         self.pred_hits.fetch_add(1, Ordering::Relaxed);
-                        gdcm_obs::counter("serve/pred_cache_hit").incr();
                     }
-                    None if queued.insert(*hash) => {
-                        misses.push(i);
-                        self.pred_misses.fetch_add(1, Ordering::Relaxed);
-                        gdcm_obs::counter("serve/pred_cache_miss").incr();
-                    }
-                    None => dup_misses.push(i),
+                    None => match queued.entry(*hash) {
+                        Entry::Occupied(first) => dup_misses.push((i, *first.get())),
+                        Entry::Vacant(slot) => {
+                            slot.insert(misses.len());
+                            misses.push(i);
+                            self.pred_misses.fetch_add(1, Ordering::Relaxed);
+                        }
+                    },
                 }
             }
         }
-        if misses.is_empty() {
+        // A cached value proves the device enrolled and the model fitted
+        // (fit and re-enroll clear the cache), so an all-hit batch is
+        // answered here. An empty batch proves nothing and falls through
+        // to the device and model checks below.
+        if misses.is_empty() && !networks.is_empty() {
             return Ok(out);
         }
         let (predicted, epoch) = {
@@ -425,6 +387,8 @@ impl ServingRepository {
                 row.extend_from_slice(&hw);
                 rows.push_row(&row);
             }
+            // Capture the epoch while still holding the read guard: it
+            // names exactly the model these values came from.
             (repo.predict_rows(&rows)?, repo.model_epoch())
         };
         between_compute_and_insert();
@@ -441,11 +405,7 @@ impl ServingRepository {
                 }
             }
         }
-        for &i in &dup_misses {
-            let first = misses
-                .iter()
-                .position(|&j| hashes[j] == hashes[i])
-                .expect("every duplicate repeats a queued miss");
+        for (i, first) in dup_misses {
             out[i] = predicted[first];
         }
         Ok(out)

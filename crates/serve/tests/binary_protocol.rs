@@ -163,12 +163,12 @@ fn run_binary_session(workers: usize, seed: u64) {
 }
 
 #[test]
-fn binary_session_end_to_end_single_shard() {
+fn binary_session_end_to_end_spin_budget_1() {
     run_binary_session(1, 41);
 }
 
 #[test]
-fn binary_session_end_to_end_sharded() {
+fn binary_session_end_to_end_spin_budget_2() {
     run_binary_session(2, 42);
 }
 

@@ -56,8 +56,8 @@ fn scratch_path(name: &str) -> PathBuf {
     dir.join(name)
 }
 
-/// The stale-insert race, forced deterministically: a model swap
-/// (re-enroll) lands *between* an in-flight predict's compute and its
+/// The stale-insert race, forced deterministically on a one-network
+/// predict: a model swap (re-enroll) lands *between* its compute and its
 /// cache insert. Before the epoch guard the stale value was inserted
 /// after the invalidation and served forever; with the guard the insert
 /// is discarded and the next predict recomputes against the new model.
@@ -71,12 +71,12 @@ fn mid_flight_model_swap_discards_the_stale_prediction() {
 
     let discarded_before = gdcm_obs::counter("serve/pred_cache_stale_discard").get();
     let stale = serving
-        .predict_hooked(&device, &nets[0], || {
+        .predict_batch_hooked(&device, &nets[..1], || {
             // The racing writer: swaps the model (and clears the cache)
             // while the reader holds its computed-but-uncached value.
             serving.re_enroll(&device, &new_sig).unwrap();
         })
-        .unwrap();
+        .unwrap()[0];
     let stats_after_race = serving.cache_stats();
 
     // The caller still gets the value it computed (it was correct when

@@ -4,7 +4,7 @@
 //! rejection of corrupt or audit-failing snapshots.
 
 use gdcm_core::signature::{MutualInfoSelector, SignatureSelector};
-use gdcm_core::{CollaborativeRepository, CostDataset, RepositoryConfig};
+use gdcm_core::{CollaborativeRepository, CostDataset, RepositoryConfig, RepositoryError};
 use gdcm_dnn::Network;
 use gdcm_ml::{FrozenGbdt, FrozenNodes, GbdtParams, GbdtRegressor, Tree, TreeNode};
 use gdcm_serve::{
@@ -85,36 +85,68 @@ fn batch_predictions_match_single_row_bits() {
         .iter()
         .map(|n| serving.with_repository(|r| r.predict(&device, n)).unwrap())
         .collect();
-
-    // All misses: the whole batch goes through the chunked predictor.
-    let batch = serving.predict_batch(&device, &nets).unwrap();
-    assert_eq!(batch.len(), singles.len());
-    for (b, s) in batch.iter().zip(&singles) {
-        assert_eq!(b.to_bits(), s.to_bits(), "batched bits diverged");
-    }
-
-    // Mixed: warm half the cache, then batch over everything.
-    let serving2 = {
-        let (repo, _) = fitted_repository(12);
-        ServingRepository::new(repo, ServeConfig::default())
+    let assert_bits = |got: &[f64], what: &str| {
+        assert_eq!(got.len(), singles.len());
+        for (g, s) in got.iter().zip(&singles) {
+            assert_eq!(g.to_bits(), s.to_bits(), "{what} diverged");
+        }
     };
+
+    // All misses, every network twice: the batch computes each unique
+    // network once (one miss) through the chunked predictor.
+    let twice: Vec<Network> = nets.iter().chain(&nets).cloned().collect();
+    let batch = serving.predict_batch(&device, &twice).unwrap();
+    assert_bits(&batch[..nets.len()], "batch");
+    assert_bits(&batch[nets.len()..], "repeated network in a batch");
+    // `predict` and `predict_batch` are one routine: every `predict`
+    // after the batch is a hit on the batch's entries.
+    let after_batch: Vec<f64> = nets
+        .iter()
+        .map(|n| serving.predict(&device, n).unwrap())
+        .collect();
+    assert_bits(&after_batch, "predict after batch");
+    let stats = serving.cache_stats();
+    assert_eq!(stats.prediction_hits, nets.len() as u64);
+    assert_eq!(stats.prediction_misses, nets.len() as u64);
+
+    // Mixed, the other way round: `predict` warms half the cache and
+    // the batch hits exactly those entries.
+    let (repo, _) = fitted_repository(12);
+    let serving2 = ServingRepository::new(repo, ServeConfig::default());
     for net in nets.iter().step_by(2) {
         serving2.predict(&device, net).unwrap();
     }
+    let warmed = serving2.cache_stats().prediction_misses;
     let mixed = serving2.predict_batch(&device, &nets).unwrap();
-    for (m, s) in mixed.iter().zip(&singles) {
-        assert_eq!(
-            m.to_bits(),
-            s.to_bits(),
-            "mixed cached/missed batch diverged"
-        );
-    }
+    assert_bits(&mixed, "mixed batch");
+    let stats = serving2.cache_stats();
+    assert_eq!(stats.prediction_hits, warmed);
+    assert_eq!(stats.prediction_misses, nets.len() as u64);
 
     // Fully cached: a pure cache read, same bits again.
     let hot = serving2.predict_batch(&device, &nets).unwrap();
-    for (h, s) in hot.iter().zip(&singles) {
-        assert_eq!(h.to_bits(), s.to_bits(), "hot batch diverged");
-    }
+    assert_bits(&hot, "hot batch");
+}
+
+#[test]
+fn empty_batch_fails_on_unknown_device_or_unfitted_model() {
+    let (repo, _) = fitted_repository(15);
+    let serving = ServingRepository::new(repo, ServeConfig::default());
+    let device = serving.device_names()[0].clone();
+    assert!(serving.predict_batch(&device, &[]).unwrap().is_empty());
+    assert!(matches!(
+        serving.predict_batch("ghost", &[]),
+        Err(ServeError::Repository(RepositoryError::UnknownDevice(_)))
+    ));
+
+    let data = CostDataset::tiny(15, 6, 6);
+    let mut repo = CollaborativeRepository::new(data.encoder.clone(), 2, Default::default());
+    repo.onboard_device("dev", &[1.0, 2.0]).unwrap();
+    let unfitted = ServingRepository::new(repo, ServeConfig::default());
+    assert!(matches!(
+        unfitted.predict_batch("dev", &[]),
+        Err(ServeError::Repository(RepositoryError::NotFitted))
+    ));
 }
 
 #[test]
