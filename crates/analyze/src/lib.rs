@@ -144,12 +144,6 @@ impl Analyzer {
         report.emit();
         report
     }
-
-    /// Analyzes many networks, returning one report per network in input
-    /// order.
-    pub fn analyze_all<'a>(&self, networks: impl IntoIterator<Item = &'a Network>) -> Vec<Report> {
-        networks.into_iter().map(|n| self.analyze(n)).collect()
-    }
 }
 
 /// Builds the standard 118-network benchmark suite with the analyzer

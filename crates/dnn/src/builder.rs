@@ -9,7 +9,7 @@
 
 use crate::error::DnnError;
 use crate::graph::{infer_shape, Network, Node, NodeId};
-use crate::op::{Activation, Conv2dParams, DepthwiseConv2dParams, Op, Padding, PoolParams};
+use crate::op::{Activation, Conv2dParams, DepthwiseConv2dParams, Op, PoolParams};
 use crate::tensor::TensorShape;
 
 /// Incrementally builds a validated [`Network`].
@@ -359,28 +359,6 @@ impl NetworkBuilder {
     pub fn classifier(&mut self, x: NodeId, classes: usize) -> Result<NodeId, DnnError> {
         let pooled = self.global_avg_pool(x)?;
         self.fully_connected(pooled, classes)
-    }
-
-    /// Convolution with explicit padding policy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape-inference failures; see [`NetworkBuilder::push`].
-    pub fn conv2d_padded(
-        &mut self,
-        x: NodeId,
-        out_channels: usize,
-        kernel: usize,
-        stride: usize,
-        padding: Padding,
-    ) -> Result<NodeId, DnnError> {
-        self.push(
-            Op::Conv2d(Conv2dParams {
-                padding,
-                ..Conv2dParams::dense(out_channels, kernel, stride)
-            }),
-            &[x],
-        )
     }
 
     /// Finalizes the network with the given output node.

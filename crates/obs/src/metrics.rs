@@ -29,12 +29,6 @@ pub fn log_bin_index(value: f64) -> usize {
     Histogram::bin_index(value)
 }
 
-/// Geometric center of a log bin — the representative value quantile
-/// queries return.
-pub fn log_bin_value(index: usize) -> f64 {
-    Histogram::bin_value(index)
-}
-
 /// Value at quantile `q` of a merged bin array with `count` total
 /// samples. Shared by cumulative and windowed summaries so both report
 /// the same approximation: the geometric center of the bin containing

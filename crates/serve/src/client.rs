@@ -17,6 +17,43 @@ use crate::protocol::wire;
 use crate::protocol::{Request, Response, ResponseEnvelope};
 use crate::ServeError;
 
+/// Calls `connect` until it succeeds, sleeping 50 ms between attempts,
+/// and returns the last error once `timeout` has elapsed.
+fn retry_until<C>(
+    timeout: Duration,
+    mut connect: impl FnMut() -> std::io::Result<C>,
+) -> std::io::Result<C> {
+    let deadline = Instant::now() + timeout;
+    loop {
+        match connect() {
+            Ok(client) => return Ok(client),
+            Err(e) if Instant::now() >= deadline => return Err(e),
+            Err(_) => std::thread::sleep(Duration::from_millis(50)),
+        }
+    }
+}
+
+/// Writes `line` plus a newline, flushes, and reads one line back. A
+/// `peer` that hangs up instead of answering is an `UnexpectedEof`.
+fn exchange_line(
+    reader: &mut BufReader<TcpStream>,
+    writer: &mut BufWriter<TcpStream>,
+    line: &str,
+    peer: &str,
+) -> std::io::Result<String> {
+    writer.write_all(line.as_bytes())?;
+    writer.write_all(b"\n")?;
+    writer.flush()?;
+    let mut reply = String::new();
+    if reader.read_line(&mut reply)? == 0 {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("{peer} closed the connection before answering"),
+        ));
+    }
+    Ok(reply)
+}
+
 /// A connected protocol client. One request/response in flight at a
 /// time, in order — exactly the server's per-connection contract.
 #[derive(Debug)]
@@ -53,14 +90,7 @@ impl Client {
         addr: impl ToSocketAddrs + Copy,
         timeout: Duration,
     ) -> std::io::Result<Self> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match Self::connect(addr) {
-                Ok(client) => return Ok(client),
-                Err(e) if Instant::now() >= deadline => return Err(e),
-                Err(_) => std::thread::sleep(Duration::from_millis(50)),
-            }
-        }
+        retry_until(timeout, || Self::connect(addr))
     }
 
     /// Sends one request and reads its response.
@@ -71,17 +101,7 @@ impl Client {
     /// closed the connection without answering.
     pub fn request(&mut self, request: &Request) -> Result<Response, ServeError> {
         let json = serde_json::to_string(request).map_err(|e| ServeError::Json(e.to_string()))?;
-        self.writer.write_all(json.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        let mut line = String::new();
-        let read = self.reader.read_line(&mut line)?;
-        if read == 0 {
-            return Err(ServeError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection before answering",
-            )));
-        }
+        let line = exchange_line(&mut self.reader, &mut self.writer, &json, "server")?;
         serde_json::from_str(&line).map_err(|e| ServeError::Json(e.to_string()))
     }
 
@@ -104,17 +124,7 @@ impl Client {
         // Envelope by hand around the serialized request — same bytes
         // as serializing a RequestEnvelope, without cloning `request`.
         let line = format!("{{\"trace_id\":{trace_id},\"req\":{req_json}}}");
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        let mut line = String::new();
-        let read = self.reader.read_line(&mut line)?;
-        if read == 0 {
-            return Err(ServeError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection before answering",
-            )));
-        }
+        let line = exchange_line(&mut self.reader, &mut self.writer, &line, "server")?;
         if let Ok(envelope) = serde_json::from_str::<ResponseEnvelope>(&line) {
             return Ok((envelope.trace_id, envelope.resp));
         }
@@ -172,14 +182,7 @@ impl BinClient {
         addr: impl ToSocketAddrs + Copy,
         timeout: Duration,
     ) -> std::io::Result<Self> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match Self::connect(addr) {
-                Ok(client) => return Ok(client),
-                Err(e) if Instant::now() >= deadline => return Err(e),
-                Err(_) => std::thread::sleep(Duration::from_millis(50)),
-            }
-        }
+        retry_until(timeout, || Self::connect(addr))
     }
 
     /// Frames and buffers one request without flushing, returning its
@@ -330,14 +333,7 @@ impl OpsClient {
         addr: impl ToSocketAddrs + Copy,
         timeout: Duration,
     ) -> std::io::Result<Self> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match Self::connect(addr) {
-                Ok(client) => return Ok(client),
-                Err(e) if Instant::now() >= deadline => return Err(e),
-                Err(_) => std::thread::sleep(Duration::from_millis(50)),
-            }
-        }
+        retry_until(timeout, || Self::connect(addr))
     }
 
     /// Sends one ops verb and returns the raw JSON reply line.
@@ -346,17 +342,12 @@ impl OpsClient {
     ///
     /// Fails on I/O errors or a closed connection.
     pub fn query(&mut self, verb: &str) -> std::io::Result<String> {
-        self.writer.write_all(verb.trim().as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        let mut line = String::new();
-        let read = self.reader.read_line(&mut line)?;
-        if read == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "ops endpoint closed the connection before answering",
-            ));
-        }
+        let line = exchange_line(
+            &mut self.reader,
+            &mut self.writer,
+            verb.trim(),
+            "ops endpoint",
+        )?;
         Ok(line.trim().to_string())
     }
 }

@@ -78,18 +78,6 @@ impl ScriptedTransport {
     pub fn take_captured(&mut self) -> Vec<u8> {
         std::mem::take(&mut self.captured)
     }
-
-    /// Bytes written by the server and not yet taken.
-    #[must_use]
-    pub fn captured_len(&self) -> usize {
-        self.captured.len()
-    }
-
-    /// Whether undelivered input chunks remain queued.
-    #[must_use]
-    pub fn has_pending_input(&self) -> bool {
-        !self.incoming.is_empty()
-    }
 }
 
 impl Transport for ScriptedTransport {
@@ -133,7 +121,7 @@ impl<'a> ConnHarness<'a> {
     /// A fresh connection in the sniffing state.
     #[must_use]
     pub fn new(serving: &'a ServingRepository) -> Self {
-        let shared = ServerShared::for_harness(serving);
+        let shared = ServerShared::new(serving, None, None, None, 1);
         let conn = Conn::new(&shared, ScriptedTransport::new());
         Self {
             shared,

@@ -24,9 +24,11 @@
 //!   safe Rust only): one thread per connection, sleeping in the
 //!   kernel on its own socket when idle, serves the legacy newline-JSON
 //!   protocol and the length-prefixed, pipelined binary protocol
-//!   ([`protocol::wire`]) on one listener, with per-request latency
-//!   histograms, open-connection gauges, and graceful drain-then-exit
-//!   shutdown.
+//!   ([`protocol::wire`]) on one listener through one request handler,
+//!   with per-request latency histograms, open-connection gauges, and
+//!   graceful drain-then-exit shutdown. [`serve`] runs it bare;
+//!   [`serve_with_ingest`] attaches an ops listener, an ingestion
+//!   pipeline, or both.
 //! * [`wal`] + [`refresh`] — streaming ingestion: a checksummed,
 //!   fsync-before-ack write-ahead log for mutating requests, replayed
 //!   over the latest snapshot on startup, and a background refresh
@@ -63,7 +65,7 @@ pub use client::{BinClient, Client, OpsClient};
 pub use lru::LruCache;
 pub use protocol::{Request, RequestEnvelope, Response, ResponseEnvelope};
 pub use refresh::{IngestPipeline, RefreshConfig};
-pub use server::{serve, serve_with_ingest, serve_with_ops, ServerConfig, ServerSummary};
+pub use server::{serve, serve_with_ingest, ServerConfig, ServerSummary};
 pub use serving::{network_hash, CacheStats, ServeConfig, ServingRepository};
 pub use snapshot::{
     load_repository, save_repository, RepositorySnapshot, SNAPSHOT_FORMAT, SNAPSHOT_VERSION,

@@ -57,9 +57,8 @@ use gdcm_gen::{benchmark_suite_with, SearchSpace};
 use gdcm_ml::GbdtParams;
 use gdcm_serve::protocol::{codes, Request, Response};
 use gdcm_serve::{
-    load_repository, replay_record, serve, serve_with_ingest, serve_with_ops, BinClient, Client,
-    IngestPipeline, OpsClient, RefreshConfig, ServeConfig, ServerConfig, ServingRepository,
-    WriteAheadLog,
+    load_repository, replay_record, serve_with_ingest, BinClient, Client, IngestPipeline,
+    OpsClient, RefreshConfig, ServeConfig, ServerConfig, ServingRepository, WriteAheadLog,
 };
 
 const USAGE: &str = "usage:
@@ -218,16 +217,13 @@ fn build_mode(args: &Args, out: &Path) -> Result<(), String> {
 }
 
 fn serve_mode(args: &Args, snapshot: &Path, addr: &str) -> Result<(), String> {
+    let mut repo = load_repository(snapshot).map_err(|e| e.to_string())?;
     // With a WAL, records already on disk (acked by a previous process
     // that never compacted) are replayed over the snapshot before the
     // listener binds — an acknowledged mutation is never lost.
-    let (serving, wal) = match &args.wal {
-        None => (
-            ServingRepository::from_snapshot_path(snapshot).map_err(|e| e.to_string())?,
-            None,
-        ),
+    let wal = match &args.wal {
+        None => None,
         Some(wal_path) => {
-            let mut repo = load_repository(snapshot).map_err(|e| e.to_string())?;
             let (wal, records, recovery) =
                 WriteAheadLog::open(wal_path).map_err(|e| e.to_string())?;
             let mut applied = 0usize;
@@ -242,12 +238,10 @@ fn serve_mode(args: &Args, snapshot: &Path, addr: &str) -> Result<(), String> {
                 "WAL REPLAY {} applied, {skipped} skipped, {} torn byte(s) dropped",
                 applied, recovery.truncated_bytes
             );
-            (
-                ServingRepository::new(repo, ServeConfig::from_env()),
-                Some(wal),
-            )
+            Some(wal)
         }
     };
+    let serving = ServingRepository::new(repo, ServeConfig::from_env());
     let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
     let local = listener.local_addr().map_err(|e| e.to_string())?;
     println!("LISTENING {local}");
@@ -267,12 +261,8 @@ fn serve_mode(args: &Args, snapshot: &Path, addr: &str) -> Result<(), String> {
     };
     let ingest =
         wal.map(|wal| IngestPipeline::with_wal(&serving, wal, snapshot, RefreshConfig::from_env()));
-    let summary = match (&ingest, ops_listener) {
-        (Some(pipeline), ops) => serve_with_ingest(listener, ops, &serving, Some(pipeline), config),
-        (None, Some(ops)) => serve_with_ops(listener, Some(ops), &serving, config),
-        (None, None) => serve(listener, &serving, config),
-    }
-    .map_err(|e| e.to_string())?;
+    let summary = serve_with_ingest(listener, ops_listener, &serving, ingest.as_ref(), config)
+        .map_err(|e| e.to_string())?;
     println!(
         "served {} request(s) over {} connection(s), {} error(s); shut down cleanly",
         summary.requests, summary.connections, summary.request_errors

@@ -265,9 +265,9 @@ fn health_reply(shared: &ServerShared<'_>) -> HealthReply {
             crate::protocol::PROTOCOL_BINARY_V1.to_string(),
         ],
         epoch: shared.serving.model_epoch(),
-        refreshes: shared.ingest.map_or(0, |p| p.refreshes()),
-        refresh_pending_rows: shared.ingest.map_or(0, |p| p.pending_rows()),
-        wal_records: shared.ingest.map_or(0, |p| p.wal_records()),
+        refreshes: shared.ingest.refreshes(),
+        refresh_pending_rows: shared.ingest.pending_rows(),
+        wal_records: shared.ingest.wal_records(),
     }
 }
 

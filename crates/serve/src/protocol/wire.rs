@@ -4,8 +4,8 @@
 //! once in text encode/decode, once in the one-line-in/one-line-out
 //! round-trip discipline it imposes on clients. This module defines the
 //! compact framing that removes both costs while keeping the *data
-//! model* identical — the same externally-tagged [`Request`] /
-//! [`Response`] enums, serialized through the same vendored serde,
+//! model* identical — the same externally-tagged [`Request`](super::Request) /
+//! [`Response`](super::Response) enums, serialized through the same vendored serde,
 //! just encoded as a binary content tree instead of JSON text.
 //!
 //! ## Connection preamble

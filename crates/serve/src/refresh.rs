@@ -2,8 +2,10 @@
 //! refresh.
 //!
 //! [`IngestPipeline`] sits between the server's dispatch loop and the
-//! [`ServingRepository`] for the three mutating requests (`contribute`,
-//! `onboard_device`, `re_enroll`):
+//! [`ServingRepository`] for the mutating requests (`contribute`,
+//! `onboard_device`, `re_enroll`, `fit`). The server always holds one:
+//! the caller's, or an in-memory [`IngestPipeline::new`] it builds
+//! itself, which applies each mutation directly.
 //!
 //! 1. **Durability first.** When a write-ahead log is attached
 //!    ([`IngestPipeline::with_wal`]), the mutation is appended and

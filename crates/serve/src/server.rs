@@ -46,8 +46,14 @@
 //! event emission). Lifetime request and error counts are the
 //! [`ServerSummary`] atomics, also reported by the ops `health` verb.
 //!
-//! Live telemetry is opt-in via [`serve_with_ops`]: handing the server
-//! a second listener starts the [`crate::ops`] endpoint and turns on
+//! Both framings feed one request handler: they differ only in how a
+//! request decodes and how its answer encodes, so counting, timing,
+//! telemetry and shutdown are written once. Every mutation goes through
+//! one [`IngestPipeline`] — the caller's, or an in-memory one the
+//! server builds (no WAL, refresh off: mutations apply directly).
+//!
+//! Live telemetry is opt-in via [`serve_with_ingest`]: handing the
+//! server a second listener starts the [`crate::ops`] endpoint and turns on
 //! per-request recording — stage spans (`read`/`parse`/`cache_lookup`/
 //! `predict`/`serialize`/`write`) through `gdcm_obs::reqtrace`,
 //! windowed qps/latency/error/cache counters, and slow-log admission.
@@ -69,7 +75,7 @@ use crate::protocol::wire;
 use crate::protocol::{
     codes, request_label, Request, RequestEnvelope, Response, ResponseEnvelope, TraceIdProbe,
 };
-use crate::refresh::IngestPipeline;
+use crate::refresh::{IngestPipeline, RefreshConfig};
 use crate::serving::{CacheStats, ServingRepository};
 
 /// Server configuration.
@@ -104,10 +110,8 @@ pub struct ServerSummary {
 /// Shared per-server state (also read by the [`crate::ops`] endpoint).
 pub(crate) struct ServerShared<'a> {
     pub(crate) serving: &'a ServingRepository,
-    /// Streaming-ingestion pipeline; when present, the mutating
-    /// requests route through it (WAL-then-apply) instead of hitting
-    /// the serving façade directly.
-    pub(crate) ingest: Option<&'a IngestPipeline<'a>>,
+    /// The one path every mutating request takes.
+    pub(crate) ingest: Pipeline<'a>,
     pub(crate) stop: AtomicBool,
     pub(crate) requests: AtomicU64,
     pub(crate) request_errors: AtomicU64,
@@ -130,27 +134,55 @@ pub(crate) struct ServerShared<'a> {
     pub(crate) workers: usize,
 }
 
-impl ServerShared<'_> {
-    /// A shared-state block for the socket-free harness
-    /// ([`crate::harness`]): same counters and flags as a live server,
-    /// no listeners attached.
-    pub(crate) fn for_harness(serving: &ServingRepository) -> ServerShared<'_> {
+/// The server's ingestion pipeline: the caller's, or an in-memory one
+/// the server owns. The in-memory pipeline has no WAL and refresh off,
+/// so its mutations apply straight to the serving façade.
+pub(crate) enum Pipeline<'a> {
+    Attached(&'a IngestPipeline<'a>),
+    Owned(IngestPipeline<'a>),
+}
+
+impl<'a> std::ops::Deref for Pipeline<'a> {
+    type Target = IngestPipeline<'a>;
+
+    fn deref(&self) -> &IngestPipeline<'a> {
+        match self {
+            Self::Attached(pipeline) => pipeline,
+            Self::Owned(pipeline) => pipeline,
+        }
+    }
+}
+
+impl<'a> ServerShared<'a> {
+    /// Fresh counters and flags. Per-request telemetry records exactly
+    /// when an ops listener (`ops_addr`) is attached; the socket-free
+    /// harness ([`crate::harness`]) passes no addresses at all.
+    pub(crate) fn new(
+        serving: &'a ServingRepository,
+        ingest: Option<&'a IngestPipeline<'a>>,
+        serve_addr: Option<SocketAddr>,
+        ops_addr: Option<SocketAddr>,
+        workers: usize,
+    ) -> Self {
         ServerShared {
             serving,
-            ingest: None,
+            ingest: match ingest {
+                Some(pipeline) => Pipeline::Attached(pipeline),
+                None => Pipeline::Owned(IngestPipeline::new(serving, RefreshConfig::default())),
+            },
             stop: AtomicBool::new(false),
             requests: AtomicU64::new(0),
             request_errors: AtomicU64::new(0),
             connections: AtomicU64::new(0),
             open_connections: AtomicI64::new(0),
             spinning: AtomicUsize::new(0),
-            telemetry: false,
+            telemetry: ops_addr.is_some(),
             draining: AtomicBool::new(false),
             ops_stop: AtomicBool::new(false),
-            serve_addr: None,
-            ops_addr: None,
+            serve_addr,
+            ops_addr,
             started: Instant::now(),
-            workers: 1,
+            workers,
         }
     }
 
@@ -219,34 +251,24 @@ pub fn serve(
     serving: &ServingRepository,
     config: ServerConfig,
 ) -> std::io::Result<ServerSummary> {
-    serve_with_ops(listener, None, serving, config)
+    serve_with_ingest(listener, None, serving, None, config)
 }
 
-/// Like [`serve`], with an optional second listener for the
-/// [`crate::ops`] endpoint (`health` / `metrics` / `slowlog` /
-/// `quiesce`). Attaching one also enables per-request telemetry:
-/// request-trace stage spans, windowed metrics, and the slow log. The
-/// ops listener stops when the main server does.
+/// Like [`serve`], with two optional attachments.
 ///
-/// # Errors
-///
-/// Same contract as [`serve`].
-pub fn serve_with_ops(
-    listener: TcpListener,
-    ops_listener: Option<TcpListener>,
-    serving: &ServingRepository,
-    config: ServerConfig,
-) -> std::io::Result<ServerSummary> {
-    serve_with_ingest(listener, ops_listener, serving, None, config)
-}
-
-/// Like [`serve_with_ops`], with an optional streaming-ingestion
-/// pipeline ([`IngestPipeline`]). When present, the mutating requests
-/// (`contribute` / `onboard_device` / `re_enroll`) are WAL-logged
-/// before they are applied, and — when the pipeline's refresh threshold
-/// is enabled — a dedicated background thread refits and atomically
-/// swaps the model as contributions accumulate, compacting the log
-/// afterwards. The refresher is stopped and joined before this returns.
+/// * A second listener for the [`crate::ops`] endpoint (`health` /
+///   `metrics` / `slowlog` / `quiesce`). Attaching one also enables
+///   per-request telemetry: request-trace stage spans, windowed
+///   metrics, and the slow log. The ops listener stops when the main
+///   server does.
+/// * A streaming-ingestion pipeline ([`IngestPipeline`]). The mutating
+///   requests (`contribute` / `onboard_device` / `re_enroll` / `fit`)
+///   go through it, so with a WAL they are logged before they are
+///   applied, and — when the pipeline's refresh threshold is enabled —
+///   a dedicated background thread refits and atomically swaps the
+///   model as contributions accumulate, compacting the log afterwards.
+///   The refresher is stopped and joined before this returns. Without
+///   one, the server builds an in-memory pipeline of its own.
 ///
 /// # Errors
 ///
@@ -266,32 +288,17 @@ pub fn serve_with_ingest(
         None => None,
     };
     let workers = config.workers.max(1);
-    let shared = ServerShared {
-        serving,
-        ingest,
-        stop: AtomicBool::new(false),
-        requests: AtomicU64::new(0),
-        request_errors: AtomicU64::new(0),
-        connections: AtomicU64::new(0),
-        open_connections: AtomicI64::new(0),
-        spinning: AtomicUsize::new(0),
-        telemetry: ops_addr.is_some(),
-        draining: AtomicBool::new(false),
-        ops_stop: AtomicBool::new(false),
-        serve_addr,
-        ops_addr,
-        started: Instant::now(),
-        workers,
-    };
+    let shared = ServerShared::new(serving, ingest, serve_addr, ops_addr, workers);
     gdcm_obs::gauge("serve/workers").set(workers as f64);
 
     let shared = &shared;
     std::thread::scope(|outer| {
         let ops_handle =
             ops_listener.map(|ops| outer.spawn(move || crate::ops::run_ops(ops, shared)));
-        let refresher = ingest
-            .filter(|p| p.refresher_needed())
-            .map(|p| outer.spawn(move || p.run()));
+        let refresher = shared
+            .ingest
+            .refresher_needed()
+            .then(|| outer.spawn(move || shared.ingest.run()));
 
         // The inner scope joins every connection thread, so request
         // traffic has drained before the refresher and ops stop.
@@ -301,9 +308,7 @@ pub fn serve_with_ingest(
         // work completes — the swap and compaction are not torn), then
         // the ops endpoint.
         if let Some(handle) = refresher {
-            if let Some(p) = ingest {
-                p.stop();
-            }
+            shared.ingest.stop();
             let _ = handle.join();
         }
         shared.trigger_ops_shutdown();
@@ -456,11 +461,38 @@ pub(crate) enum Proto {
 enum Outcome {
     /// Keep serving.
     Continue,
-    /// Response enqueued; flush it, then close (shutdown or a framing
-    /// violation).
-    CloseAfterFlush,
+    /// Response enqueued; flush it, then close this connection (a
+    /// framing violation).
+    Close,
+    /// Response enqueued; flush it, close, and shut the server down.
+    Shutdown,
     /// Unrecoverable (serialization failed); drop without flushing.
     Fatal,
+}
+
+/// One request as its connection framed it — the protocol-specific
+/// input to [`handle_request`].
+enum Frame<'b> {
+    /// A newline-JSON line without its newline; `None` when the line is
+    /// not valid UTF-8.
+    Line(Option<&'b str>),
+    /// A binary-v1 payload and the request id its header carried.
+    Binary { id: u64, payload: &'b [u8] },
+    /// A binary-v1 header declaring more than [`wire::MAX_PAYLOAD`]
+    /// bytes. It is refused before any allocation, and the connection
+    /// closes because its framing can no longer be trusted.
+    Oversized { id: u64, declared: usize },
+}
+
+/// What decoding one [`Frame`] produced.
+enum Decoded {
+    /// A request for [`dispatch`].
+    Request(Request),
+    /// A `Predict` the wire fast lane answered from the prediction
+    /// cache without decoding its network.
+    Cached(f64),
+    /// Refused before dispatch, with this error code and message.
+    Refused(&'static str, String),
 }
 
 /// One connection's state machine: read buffer, write buffer, framing
@@ -614,7 +646,7 @@ impl<T: Transport> Conn<T> {
                     return progress;
                 }
             }
-            match self.proto {
+            let frame = match self.proto {
                 Proto::Sniff => {
                     let avail = &self.buf[self.consumed..];
                     if avail.is_empty() {
@@ -655,6 +687,7 @@ impl<T: Transport> Conn<T> {
                         self.proto = Proto::Legacy;
                     }
                     progress = true;
+                    continue;
                 }
                 Proto::Legacy => {
                     let avail = &self.buf[self.consumed..];
@@ -667,25 +700,18 @@ impl<T: Transport> Conn<T> {
                         }
                         None => return progress,
                     };
-                    let line_start = self.consumed;
+                    let line = std::str::from_utf8(&self.buf[self.consumed..line_end]);
                     self.consumed = next;
-                    progress = true;
-                    let outcome = {
-                        let Conn {
-                            buf,
-                            out,
-                            prev_done_us,
-                            ..
-                        } = self;
-                        handle_legacy_line(
-                            shared,
-                            scratch,
-                            &buf[line_start..line_end],
-                            out,
-                            *prev_done_us,
-                        )
-                    };
-                    self.finish_request(shared, outcome);
+                    match line {
+                        // Blank lines are skipped: no answer, no count.
+                        Ok(text) if text.trim().is_empty() => {
+                            progress = true;
+                            self.finish_request(shared, Outcome::Continue);
+                            continue;
+                        }
+                        // A non-UTF-8 line gets an in-band parse error.
+                        line => Frame::Line(line.ok()),
+                    }
                 }
                 Proto::Binary => {
                     let avail = &self.buf[self.consumed..];
@@ -705,57 +731,31 @@ impl<T: Transport> Conn<T> {
                         }
                     };
                     if header.payload_len > wire::MAX_PAYLOAD {
-                        // Refused before any allocation; framing can no
-                        // longer be trusted, so answer and close.
-                        let _ = wire::append_frame(
-                            &mut self.out,
-                            header.request_id,
-                            &Response::Error {
-                                code: codes::FRAME_TOO_LARGE.to_string(),
-                                message: wire::WireError::FrameTooLarge {
-                                    declared: header.payload_len,
-                                }
-                                .to_string(),
-                            },
-                        );
-                        shared.requests.fetch_add(1, Ordering::SeqCst);
-                        shared.request_errors.fetch_add(1, Ordering::SeqCst);
-                        self.closing = true;
-                        progress = true;
-                        continue;
-                    }
-                    if avail.len() < wire::FRAME_HEADER_LEN + header.payload_len {
+                        Frame::Oversized {
+                            id: header.request_id,
+                            declared: header.payload_len,
+                        }
+                    } else if avail.len() < wire::FRAME_HEADER_LEN + header.payload_len {
                         if self.peer_eof {
                             // Truncated frame mid-read: close cleanly,
                             // answering nothing for the partial frame.
                             self.closing = true;
-                            progress = true;
+                            return true;
                         }
                         return progress;
+                    } else {
+                        let start = self.consumed + wire::FRAME_HEADER_LEN;
+                        self.consumed = start + header.payload_len;
+                        Frame::Binary {
+                            id: header.request_id,
+                            payload: &self.buf[start..self.consumed],
+                        }
                     }
-                    let start = self.consumed + wire::FRAME_HEADER_LEN;
-                    let end = start + header.payload_len;
-                    self.consumed = end;
-                    progress = true;
-                    let outcome = {
-                        let Conn {
-                            buf,
-                            out,
-                            prev_done_us,
-                            ..
-                        } = self;
-                        handle_binary_frame(
-                            shared,
-                            scratch,
-                            &buf[start..end],
-                            header.request_id,
-                            out,
-                            *prev_done_us,
-                        )
-                    };
-                    self.finish_request(shared, outcome);
                 }
-            }
+            };
+            progress = true;
+            let outcome = handle_request(shared, scratch, frame, &mut self.out, self.prev_done_us);
+            self.finish_request(shared, outcome);
         }
     }
 
@@ -763,7 +763,8 @@ impl<T: Transport> Conn<T> {
         self.prev_done_us = gdcm_obs::timestamp_us();
         match outcome {
             Outcome::Continue => {}
-            Outcome::CloseAfterFlush => {
+            Outcome::Close => self.closing = true,
+            Outcome::Shutdown => {
                 shared.trigger_shutdown();
                 self.closing = true;
             }
@@ -795,47 +796,27 @@ impl Conn {
     }
 }
 
-/// Parses one request line: envelope first (opt-in trace id), bare
-/// request second. A line that is valid JSON but not a valid request
-/// still yields its `trace_id` (if any), so the error response can be
-/// correlated with the request that caused it.
-fn parse_line(line: &str) -> (Option<u64>, Result<Request, String>) {
-    if let Ok(env) = serde_json::from_str::<RequestEnvelope>(line) {
-        return (env.trace_id, Ok(env.req));
-    }
-    match serde_json::from_str::<Request>(line) {
-        Ok(request) => (None, Ok(request)),
-        Err(e) => {
-            let trace_id = serde_json::from_str::<TraceIdProbe>(line)
-                .ok()
-                .and_then(|p| p.trace_id);
-            (trace_id, Err(format!("unparsable request: {e}")))
-        }
-    }
-}
-
-/// Serves one legacy newline-JSON request: parse, dispatch, serialize
-/// into the reusable scratch buffer, enqueue with a trailing newline.
-fn handle_legacy_line(
+/// Answers one framed request: decode, dispatch, count, encode, and
+/// record. Both protocols run this one function; they differ only in
+/// [`decode`] and in how the answer is encoded. Binary request ids
+/// double as trace ids, so binary clients correlate slow-log entries
+/// without any envelope.
+fn handle_request(
     shared: &ServerShared<'_>,
     scratch: &mut Scratch,
-    line: &[u8],
+    frame: Frame<'_>,
     out: &mut Vec<u8>,
     prev_done_us: u64,
 ) -> Outcome {
-    // A non-UTF-8 line answers an in-band parse error instead of the
-    // old reader's silent disconnect — strictly more useful, still an
-    // error. Blank lines are ignored, as before.
-    let text = match std::str::from_utf8(line) {
-        Ok(text) if text.trim().is_empty() => return Outcome::Continue,
-        Ok(text) => Some(text),
-        Err(_) => None,
+    // The binary request id; `None` for a newline-JSON line.
+    let frame_id = match frame {
+        Frame::Line(_) => None,
+        Frame::Binary { id, .. } | Frame::Oversized { id, .. } => Some(id),
     };
-
     let telemetry = shared.telemetry;
     let cache_before = telemetry.then(|| shared.serving.cache_stats());
     if telemetry {
-        gdcm_obs::reqtrace::begin(0);
+        gdcm_obs::reqtrace::begin(frame_id.unwrap_or(0));
         // The read stage spans from the previous request's completion;
         // it belongs in the stage breakdown but not in the latency
         // that ranks the slow log, which starts after the read.
@@ -844,34 +825,25 @@ fn handle_legacy_line(
     }
     let started = Instant::now();
 
-    let (trace_id, parsed) = {
-        let _stage = gdcm_obs::reqtrace::stage("parse");
-        match text {
-            Some(text) => parse_line(text),
-            None => (None, Err("request line is not valid UTF-8".to_string())),
-        }
-    };
+    let (trace_id, decoded) = decode(shared, &frame);
     if let Some(id) = trace_id {
         gdcm_obs::reqtrace::set_trace_id(id);
     }
-
-    let label;
-    let (response, is_shutdown) = match parsed {
-        Ok(request) => {
-            label = request_label(&request);
-            let is_shutdown = matches!(request, Request::Shutdown);
-            (dispatch(shared, request), is_shutdown)
-        }
-        Err(message) => {
-            label = "parse_error";
-            (
-                Response::Error {
-                    code: codes::PARSE_ERROR.to_string(),
-                    message,
-                },
-                false,
-            )
-        }
+    let (label, response) = match decoded {
+        Decoded::Request(request) => (request_label(&request), dispatch(shared, request)),
+        Decoded::Cached(latency_ms) => ("predict", Response::Prediction { latency_ms }),
+        Decoded::Refused(code, message) => (
+            code,
+            Response::Error {
+                code: code.to_string(),
+                message,
+            },
+        ),
+    };
+    let outcome = match (&frame, &response) {
+        (Frame::Oversized { .. }, _) => Outcome::Close,
+        (_, Response::ShuttingDown) => Outcome::Shutdown,
+        _ => Outcome::Continue,
     };
     shared.requests.fetch_add(1, Ordering::SeqCst);
     let is_error = matches!(response, Response::Error { .. });
@@ -882,29 +854,37 @@ fn handle_legacy_line(
     let serialized = {
         let _stage = gdcm_obs::reqtrace::stage("serialize");
         scratch.ser.clear();
-        // Enveloped requests get enveloped responses — errors
-        // included, so clients can correlate failures too. Bare
-        // requests keep the legacy bare responses.
-        match trace_id {
-            Some(id) => serde_json::to_writer(
+        match (frame_id, trace_id) {
+            (Some(_), _) => wire::append_value(&mut scratch.ser, &response).is_ok(),
+            // Enveloped lines get enveloped responses — errors
+            // included, so clients can correlate failures too. Bare
+            // lines keep the legacy bare responses.
+            (None, Some(id)) => serde_json::to_writer(
                 &mut scratch.ser,
                 &ResponseEnvelope {
                     trace_id: Some(id),
                     resp: response,
                 },
-            ),
-            None => serde_json::to_writer(&mut scratch.ser, &response),
+            )
+            .is_ok(),
+            (None, None) => serde_json::to_writer(&mut scratch.ser, &response).is_ok(),
         }
     };
-    if serialized.is_err() {
-        // Responses are plain data; serialization cannot fail. If it
-        // ever does, drop the connection rather than the process.
-        return Outcome::Fatal;
-    }
-    {
+    // Responses are plain data and cannot fail to serialize. If one
+    // ever does, drop the connection rather than the process.
+    let written = serialized && {
         let _stage = gdcm_obs::reqtrace::stage("write");
-        out.extend_from_slice(&scratch.ser);
-        out.push(b'\n');
+        match frame_id {
+            Some(id) => wire::append_raw_frame(out, id, &scratch.ser).is_ok(),
+            None => {
+                out.extend_from_slice(&scratch.ser);
+                out.push(b'\n');
+                true
+            }
+        }
+    };
+    if !written {
+        return Outcome::Fatal;
     }
 
     let request_us = started.elapsed().as_micros() as u64;
@@ -912,34 +892,62 @@ fn handle_legacy_line(
     if telemetry {
         record_telemetry(shared, label, request_us, is_error, cache_before);
     }
-    if is_shutdown {
-        Outcome::CloseAfterFlush
-    } else {
-        Outcome::Continue
+    outcome
+}
+
+/// The protocol-specific input half of [`handle_request`]: turns one
+/// frame into a request (or a fast-lane answer, or a refusal), plus
+/// the trace id a newline-JSON envelope opted into.
+fn decode(shared: &ServerShared<'_>, frame: &Frame<'_>) -> (Option<u64>, Decoded) {
+    match *frame {
+        Frame::Line(text) => {
+            let _stage = gdcm_obs::reqtrace::stage("parse");
+            match text {
+                Some(text) => parse_line(text),
+                None => (
+                    None,
+                    Decoded::Refused(
+                        codes::PARSE_ERROR,
+                        "request line is not valid UTF-8".to_string(),
+                    ),
+                ),
+            }
+        }
+        Frame::Binary { payload, .. } => (None, decode_binary(shared, payload)),
+        Frame::Oversized { declared, .. } => (
+            None,
+            Decoded::Refused(
+                codes::FRAME_TOO_LARGE,
+                wire::WireError::FrameTooLarge { declared }.to_string(),
+            ),
+        ),
     }
 }
 
-/// Serves one binary frame: decode, dispatch, encode the response into
-/// a frame tagged with the request's id. The id also becomes the
-/// request's trace id, so binary clients correlate slow-log entries
-/// without any envelope.
-fn handle_binary_frame(
-    shared: &ServerShared<'_>,
-    scratch: &mut Scratch,
-    payload: &[u8],
-    request_id: u64,
-    out: &mut Vec<u8>,
-    prev_done_us: u64,
-) -> Outcome {
-    let telemetry = shared.telemetry;
-    let cache_before = telemetry.then(|| shared.serving.cache_stats());
-    if telemetry {
-        gdcm_obs::reqtrace::begin(request_id);
-        let now_us = gdcm_obs::timestamp_us();
-        gdcm_obs::reqtrace::stage_closed("read", prev_done_us, now_us.saturating_sub(prev_done_us));
+/// Parses one request line: envelope first (opt-in trace id), bare
+/// request second. A line that is valid JSON but not a valid request
+/// still yields its `trace_id` (if any), so the error response can be
+/// correlated with the request that caused it.
+fn parse_line(line: &str) -> (Option<u64>, Decoded) {
+    if let Ok(env) = serde_json::from_str::<RequestEnvelope>(line) {
+        return (env.trace_id, Decoded::Request(env.req));
     }
-    let started = Instant::now();
+    match serde_json::from_str::<Request>(line) {
+        Ok(request) => (None, Decoded::Request(request)),
+        Err(e) => {
+            let trace_id = serde_json::from_str::<TraceIdProbe>(line)
+                .ok()
+                .and_then(|p| p.trace_id);
+            let message = format!("unparsable request: {e}");
+            (trace_id, Decoded::Refused(codes::PARSE_ERROR, message))
+        }
+    }
+}
 
+/// Decodes one binary payload. A malformed payload inside a well-formed
+/// frame is refused in-band and the connection stays open: framing is
+/// intact, so neighbouring pipelined requests are unaffected.
+fn decode_binary(shared: &ServerShared<'_>, payload: &[u8]) -> Decoded {
     // Wire fast lane: a canonical `Predict` whose network bytes have
     // been seen before can be answered from the prediction cache
     // without decoding the network at all. Any miss — not a Predict,
@@ -951,75 +959,24 @@ fn handle_binary_frame(
     let cached = probed
         .as_ref()
         .and_then(|(device, hash)| shared.serving.predict_wire_hit(device, *hash));
-
-    let label;
-    let (response, is_shutdown) = if let Some(latency_ms) = cached {
-        label = "predict";
-        (Response::Prediction { latency_ms }, false)
-    } else {
-        let parsed = {
-            let _stage = gdcm_obs::reqtrace::stage("parse");
-            // Canonical-layout fast path; falls back to the generic
-            // content-tree decoder on any deviation, so accepted inputs
-            // and error text are unchanged.
-            wire::fast::decode_request(payload)
-        };
-        match parsed {
-            Ok(request) => {
-                if let (Some((_, hash)), Request::Predict { network, .. }) = (&probed, &request) {
-                    shared.serving.index_wire_hash(*hash, network);
-                }
-                label = request_label(&request);
-                let is_shutdown = matches!(request, Request::Shutdown);
-                (dispatch(shared, request), is_shutdown)
+    if let Some(latency_ms) = cached {
+        return Decoded::Cached(latency_ms);
+    }
+    let parsed = {
+        let _stage = gdcm_obs::reqtrace::stage("parse");
+        // Canonical-layout fast path; falls back to the generic
+        // content-tree decoder on any deviation, so accepted inputs
+        // and error text are unchanged.
+        wire::fast::decode_request(payload)
+    };
+    match parsed {
+        Ok(request) => {
+            if let (Some((_, hash)), Request::Predict { network, .. }) = (&probed, &request) {
+                shared.serving.index_wire_hash(*hash, network);
             }
-            Err(e) => {
-                // A malformed payload inside a well-formed frame:
-                // framing is intact, so answer in-band and keep the
-                // connection — neighbouring pipelined requests are
-                // unaffected.
-                label = "parse_error";
-                (
-                    Response::Error {
-                        code: codes::PARSE_ERROR.to_string(),
-                        message: format!("unparsable request: {e}"),
-                    },
-                    false,
-                )
-            }
+            Decoded::Request(request)
         }
-    };
-    shared.requests.fetch_add(1, Ordering::SeqCst);
-    let is_error = matches!(response, Response::Error { .. });
-    if is_error {
-        shared.request_errors.fetch_add(1, Ordering::SeqCst);
-    }
-
-    let serialized = {
-        let _stage = gdcm_obs::reqtrace::stage("serialize");
-        scratch.ser.clear();
-        wire::append_value(&mut scratch.ser, &response)
-    };
-    if serialized.is_err() {
-        return Outcome::Fatal;
-    }
-    let framed = {
-        let _stage = gdcm_obs::reqtrace::stage("write");
-        wire::append_raw_frame(out, request_id, &scratch.ser)
-    };
-    if framed.is_err() {
-        return Outcome::Fatal;
-    }
-
-    let request_us = started.elapsed().as_micros() as u64;
-    gdcm_obs::histogram("serve/request_ms").record(request_us as f64 / 1e3);
-    if telemetry {
-        record_telemetry(shared, label, request_us, is_error, cache_before);
-    }
-    if is_shutdown {
-        Outcome::CloseAfterFlush
-    } else {
-        Outcome::Continue
+        Err(e) => Decoded::Refused(codes::PARSE_ERROR, format!("unparsable request: {e}")),
     }
 }
 
@@ -1085,12 +1042,19 @@ fn record_telemetry(
 }
 
 /// Maps one request to one response against the serving repository.
+/// Mutations go through the ingestion pipeline, so with a WAL they are
+/// durable (append + fsync) before the `Ok` acknowledges them. `Fit`
+/// does too: the WAL records rows, not models, so the pipeline
+/// re-snapshots after a successful fit — otherwise crash-and-replay
+/// would silently revert an acknowledged fit to the snapshot's model.
 fn dispatch(shared: &ServerShared<'_>, request: Request) -> Response {
     let serving = shared.serving;
+    let ingest = &shared.ingest;
     let fail = |e: crate::ServeError| Response::Error {
         code: e.code().to_string(),
         message: e.to_string(),
     };
+    let ack = |result: Result<(), crate::ServeError>| result.map_or_else(fail, |()| Response::Ok);
     match request {
         Request::Ping => Response::Pong,
         Request::Stats => {
@@ -1123,63 +1087,20 @@ fn dispatch(shared: &ServerShared<'_>, request: Request) -> Response {
             Ok(latency_ms) => Response::Prediction { latency_ms },
             Err(e) => fail(e),
         },
-        // Mutations go through the ingestion pipeline when one is
-        // attached, so they are durable (WAL append + fsync) before the
-        // Ok below acknowledges them.
         Request::OnboardDevice {
             device,
             signature_ms,
-        } => {
-            let result = match shared.ingest {
-                Some(ingest) => ingest.onboard_device(&device, &signature_ms),
-                None => serving.onboard_device(&device, &signature_ms),
-            };
-            match result {
-                Ok(()) => Response::Ok,
-                Err(e) => fail(e),
-            }
-        }
+        } => ack(ingest.onboard_device(&device, &signature_ms)),
         Request::ReEnroll {
             device,
             signature_ms,
-        } => {
-            let result = match shared.ingest {
-                Some(ingest) => ingest.re_enroll(&device, &signature_ms),
-                None => serving.re_enroll(&device, &signature_ms),
-            };
-            match result {
-                Ok(()) => Response::Ok,
-                Err(e) => fail(e),
-            }
-        }
+        } => ack(ingest.re_enroll(&device, &signature_ms)),
         Request::Contribute {
             device,
             network,
             latency_ms,
-        } => {
-            let result = match shared.ingest {
-                Some(ingest) => ingest.contribute(&device, &network, latency_ms),
-                None => serving.contribute(&device, &network, latency_ms),
-            };
-            match result {
-                Ok(()) => Response::Ok,
-                Err(e) => fail(e),
-            }
-        }
-        // Fit also goes through the pipeline: the WAL records rows, not
-        // models, so the pipeline re-snapshots after a successful fit —
-        // otherwise crash-and-replay would silently revert an
-        // acknowledged fit to the snapshot's model.
-        Request::Fit => {
-            let result = match shared.ingest {
-                Some(ingest) => ingest.fit(),
-                None => serving.fit(),
-            };
-            match result {
-                Ok(()) => Response::Ok,
-                Err(e) => fail(e),
-            }
-        }
+        } => ack(ingest.contribute(&device, &network, latency_ms)),
+        Request::Fit => ack(ingest.fit()),
         Request::Shutdown => Response::ShuttingDown,
     }
 }

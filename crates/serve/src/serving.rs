@@ -79,7 +79,7 @@ impl ServeConfig {
     /// Reads the cache knobs from `GDCM_SERVE_ENC_CACHE` and
     /// `GDCM_SERVE_PRED_CACHE` (entry counts; 0 disables; unset falls
     /// back to the defaults silently, set-but-unparsable falls back
-    /// with a structured warning — see [`env_usize`]).
+    /// with a structured `config_warning` event).
     pub fn from_env() -> Self {
         Self {
             encoding_cache: env_usize("GDCM_SERVE_ENC_CACHE", DEFAULT_ENC_CACHE),

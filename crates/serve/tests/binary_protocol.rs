@@ -2,10 +2,7 @@
 //! sockets, pipelining, hardening against hostile framing, and both
 //! protocols interleaved on one listener.
 
-use gdcm_core::signature::{MutualInfoSelector, SignatureSelector};
-use gdcm_core::{CollaborativeRepository, CostDataset, RepositoryConfig};
-use gdcm_dnn::Network;
-use gdcm_ml::GbdtParams;
+use gdcm_serve::harness::ConnHarness;
 use gdcm_serve::protocol::{codes, wire};
 use gdcm_serve::{
     serve, BinClient, Client, Request, Response, ServeConfig, ServerConfig, ServingRepository,
@@ -14,40 +11,8 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
-fn fitted_repository(seed: u64) -> (CollaborativeRepository, Vec<Network>) {
-    let data = CostDataset::tiny(seed, 6, 6);
-    let all: Vec<usize> = (0..data.n_devices()).collect();
-    let signature = MutualInfoSelector::default().select(&data.db, &all, 3);
-    let mut repo = CollaborativeRepository::new(
-        data.encoder.clone(),
-        signature.len(),
-        RepositoryConfig {
-            gbdt: GbdtParams {
-                n_estimators: 20,
-                ..GbdtParams::default()
-            },
-            min_rows: 8,
-        },
-    );
-    let open: Vec<usize> = (0..data.n_networks())
-        .filter(|n| !signature.contains(n))
-        .collect();
-    for d in 0..data.n_devices() {
-        let lat: Vec<f64> = signature.iter().map(|&n| data.db.latency(d, n)).collect();
-        let name = data.devices[d].model.clone();
-        repo.onboard_device(name.clone(), &lat).unwrap();
-        for &n in open.iter().cycle().skip(d % open.len()).take(8) {
-            repo.contribute(&name, &data.suite[n].network, data.db.latency(d, n))
-                .unwrap();
-        }
-    }
-    repo.fit().unwrap();
-    let nets = open
-        .iter()
-        .map(|&n| data.suite[n].network.clone())
-        .collect();
-    (repo, nets)
-}
+mod common;
+use common::fitted_repository;
 
 /// Reads one raw response frame (header + payload bytes) off a stream.
 fn read_raw_frame(stream: &mut TcpStream) -> std::io::Result<(u64, Vec<u8>)> {
@@ -451,4 +416,102 @@ fn garbage_payload_does_not_corrupt_neighbouring_pipelined_responses() {
         let summary = server.join().expect("server thread").expect("serve result");
         assert_eq!(summary.request_errors, 1);
     });
+}
+
+/// Both framings answer through one request handler, so the same
+/// request list must get the same answers and the same accounting over
+/// newline-JSON and binary-v1. Each protocol runs against its own copy
+/// of the repository, so the cache counters in `Stats` line up too.
+#[test]
+fn both_protocols_answer_and_count_alike() {
+    let (repo, nets) = fitted_repository(46);
+    let device = repo.device_names()[0].to_string();
+    let predict = Request::Predict {
+        device: device.clone(),
+        network: nets[0].clone(),
+    };
+    // `None` stands for a malformed payload.
+    let script: Vec<Option<Request>> = vec![
+        Some(Request::Ping),
+        Some(predict.clone()),
+        // A repeat: the binary side answers it from the wire fast lane.
+        Some(predict),
+        Some(Request::PredictBatch {
+            device,
+            networks: nets[..3].to_vec(),
+        }),
+        None,
+        Some(Request::Contribute {
+            device: "no-such-device".to_string(),
+            network: nets[1].clone(),
+            latency_ms: 1.0,
+        }),
+        Some(Request::Stats),
+    ];
+
+    let legacy_serving = ServingRepository::new(repo.clone(), ServeConfig::default());
+    let mut legacy = ConnHarness::new(&legacy_serving);
+    for request in &script {
+        let mut line = match request {
+            Some(request) => serde_json::to_string(request).unwrap(),
+            None => "{not json".to_string(),
+        };
+        line.push('\n');
+        legacy.deliver(line.as_bytes());
+    }
+    legacy.pump_until_quiet(64);
+    let legacy_out = String::from_utf8(legacy.take_output()).unwrap();
+    let legacy_answers: Vec<Response> = legacy_out
+        .lines()
+        .map(|line| serde_json::from_str(line).unwrap())
+        .collect();
+
+    let binary_serving = ServingRepository::new(repo, ServeConfig::default());
+    let mut binary = ConnHarness::new(&binary_serving);
+    binary.deliver(&wire::preamble());
+    for (id, request) in (1u64..).zip(&script) {
+        let mut frame = Vec::new();
+        match request {
+            Some(request) => wire::append_frame(&mut frame, id, request).unwrap(),
+            None => wire::append_raw_frame(&mut frame, id, &[0xff, 0x13]).unwrap(),
+        }
+        binary.deliver(&frame);
+    }
+    binary.pump_until_quiet(64);
+    let binary_out = binary.take_output();
+    let mut binary_answers = Vec::new();
+    let mut rest = &binary_out[..];
+    for id in 1..=script.len() as u64 {
+        let header = wire::decode_frame_header(rest).unwrap();
+        assert_eq!(header.request_id, id);
+        let end = wire::FRAME_HEADER_LEN + header.payload_len;
+        binary_answers
+            .push(wire::decode_value::<Response>(&rest[wire::FRAME_HEADER_LEN..end]).unwrap());
+        rest = &rest[end..];
+    }
+    assert!(rest.is_empty(), "one answer per request");
+
+    assert_eq!(legacy_answers.len(), script.len());
+    for ((request, legacy), binary) in script.iter().zip(&legacy_answers).zip(&binary_answers) {
+        match (request, legacy, binary) {
+            // Each codec words its own parse error; the code is shared.
+            (None, Response::Error { code: a, .. }, Response::Error { code: b, .. }) => {
+                assert_eq!(
+                    (a.as_str(), b.as_str()),
+                    (codes::PARSE_ERROR, codes::PARSE_ERROR)
+                );
+            }
+            _ => assert_eq!(legacy, binary, "answers to {request:?} differ"),
+        }
+    }
+    assert!(matches!(
+        legacy_answers[5],
+        Response::Error { ref code, .. } if code == codes::UNKNOWN_DEVICE
+    ));
+    assert_eq!(legacy.requests(), script.len() as u64);
+    assert_eq!(
+        (legacy.requests(), legacy.request_errors()),
+        (binary.requests(), binary.request_errors())
+    );
+    assert_eq!(legacy.request_errors(), 2);
 }

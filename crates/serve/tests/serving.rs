@@ -3,51 +3,17 @@
 //! uncached single-row path), snapshot round-trips, and defensive
 //! rejection of corrupt or audit-failing snapshots.
 
-use gdcm_core::signature::{MutualInfoSelector, SignatureSelector};
-use gdcm_core::{CollaborativeRepository, CostDataset, RepositoryConfig, RepositoryError};
+use gdcm_core::{CollaborativeRepository, CostDataset, RepositoryError};
 use gdcm_dnn::Network;
-use gdcm_ml::{FrozenGbdt, FrozenNodes, GbdtParams, GbdtRegressor, Tree, TreeNode};
+use gdcm_ml::{FrozenGbdt, FrozenNodes, GbdtRegressor, Tree, TreeNode};
 use gdcm_serve::{
     load_repository, save_repository, RepositorySnapshot, ServeConfig, ServeError,
     ServingRepository, SNAPSHOT_FORMAT, SNAPSHOT_VERSION,
 };
 use std::path::PathBuf;
 
-/// A small fitted repository plus the open networks it never trained on.
-fn fitted_repository(seed: u64) -> (CollaborativeRepository, Vec<Network>) {
-    let data = CostDataset::tiny(seed, 6, 6);
-    let all: Vec<usize> = (0..data.n_devices()).collect();
-    let signature = MutualInfoSelector::default().select(&data.db, &all, 3);
-    let mut repo = CollaborativeRepository::new(
-        data.encoder.clone(),
-        signature.len(),
-        RepositoryConfig {
-            gbdt: GbdtParams {
-                n_estimators: 20,
-                ..GbdtParams::default()
-            },
-            min_rows: 8,
-        },
-    );
-    let open: Vec<usize> = (0..data.n_networks())
-        .filter(|n| !signature.contains(n))
-        .collect();
-    for d in 0..data.n_devices() {
-        let lat: Vec<f64> = signature.iter().map(|&n| data.db.latency(d, n)).collect();
-        let name = data.devices[d].model.clone();
-        repo.onboard_device(name.clone(), &lat).unwrap();
-        for &n in open.iter().cycle().skip(d % open.len()).take(8) {
-            repo.contribute(&name, &data.suite[n].network, data.db.latency(d, n))
-                .unwrap();
-        }
-    }
-    repo.fit().unwrap();
-    let nets = open
-        .iter()
-        .map(|&n| data.suite[n].network.clone())
-        .collect();
-    (repo, nets)
-}
+mod common;
+use common::fitted_repository;
 
 fn scratch_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("gdcm_serve_tests");

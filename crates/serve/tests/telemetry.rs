@@ -2,51 +2,26 @@
 //! (success, error, and malformed-request paths), and the ops endpoint
 //! (`health` / `metrics` / `slowlog` / `quiesce`) under real load.
 
-use gdcm_core::signature::{MutualInfoSelector, SignatureSelector};
-use gdcm_core::{CollaborativeRepository, CostDataset, RepositoryConfig};
-use gdcm_dnn::Network;
-use gdcm_ml::GbdtParams;
-use gdcm_serve::protocol::codes;
+use gdcm_serve::protocol::{codes, wire};
 use gdcm_serve::{
-    serve, serve_with_ops, Client, OpsClient, Request, Response, ResponseEnvelope, ServeConfig,
+    serve, serve_with_ingest, Client, OpsClient, Request, Response, ResponseEnvelope, ServeConfig,
     ServerConfig, ServingRepository,
 };
-use std::net::TcpListener;
-use std::time::Duration;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
-fn fitted_repository(seed: u64) -> (CollaborativeRepository, Vec<Network>) {
-    let data = CostDataset::tiny(seed, 6, 6);
-    let all: Vec<usize> = (0..data.n_devices()).collect();
-    let signature = MutualInfoSelector::default().select(&data.db, &all, 3);
-    let mut repo = CollaborativeRepository::new(
-        data.encoder.clone(),
-        signature.len(),
-        RepositoryConfig {
-            gbdt: GbdtParams {
-                n_estimators: 20,
-                ..GbdtParams::default()
-            },
-            min_rows: 8,
-        },
-    );
-    let open: Vec<usize> = (0..data.n_networks())
-        .filter(|n| !signature.contains(n))
-        .collect();
-    for d in 0..data.n_devices() {
-        let lat: Vec<f64> = signature.iter().map(|&n| data.db.latency(d, n)).collect();
-        let name = data.devices[d].model.clone();
-        repo.onboard_device(name.clone(), &lat).unwrap();
-        for &n in open.iter().cycle().skip(d % open.len()).take(8) {
-            repo.contribute(&name, &data.suite[n].network, data.db.latency(d, n))
-                .unwrap();
-        }
-    }
-    repo.fit().unwrap();
-    let nets = open
-        .iter()
-        .map(|&n| data.suite[n].network.clone())
-        .collect();
-    (repo, nets)
+mod common;
+use common::fitted_repository;
+
+/// Serializes the tests that attach an ops listener: windowed metrics
+/// live in one process-wide registry, so one such test's load would
+/// show up in the other's window.
+static OPS_TELEMETRY: Mutex<()> = Mutex::new(());
+
+fn ops_telemetry_lock() -> MutexGuard<'static, ()> {
+    OPS_TELEMETRY.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Sends `Shutdown` to the server on drop unless disarmed. An assertion
@@ -221,6 +196,7 @@ fn parse_errors_keep_the_trace_id_when_one_was_sent() {
 /// stage breakdowns, and quiesce flipping health to draining.
 #[test]
 fn ops_endpoint_reports_live_telemetry() {
+    let _serial = ops_telemetry_lock();
     let (repo, nets) = fitted_repository(43);
     let serving = ServingRepository::new(repo, ServeConfig::default());
     let device = serving.device_names()[0].clone();
@@ -232,10 +208,11 @@ fn ops_endpoint_reports_live_telemetry() {
     std::thread::scope(|scope| {
         let serving = &serving;
         let server = scope.spawn(move || {
-            serve_with_ops(
+            serve_with_ingest(
                 listener,
                 Some(ops_listener),
                 serving,
+                None,
                 ServerConfig { workers: 2 },
             )
         });
@@ -380,5 +357,93 @@ fn ops_endpoint_reports_live_telemetry() {
         drop(client);
         let summary = server.join().expect("server thread").expect("serve result");
         assert!(summary.requests >= 5);
+    });
+}
+
+/// An oversized binary frame is a request answered with an error, so
+/// the ops endpoint counts it twice over: in the windowed `metrics`
+/// (requests, errors) and in the lifetime `health` totals.
+#[test]
+fn oversized_frame_counts_in_windowed_and_lifetime_errors() {
+    let _serial = ops_telemetry_lock();
+    let (repo, _) = fitted_repository(45);
+    let serving = ServingRepository::new(repo, ServeConfig::default());
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let ops_listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let ops_addr = ops_listener.local_addr().unwrap();
+
+    std::thread::scope(|scope| {
+        let serving = &serving;
+        let server = scope.spawn(move || {
+            serve_with_ingest(
+                listener,
+                Some(ops_listener),
+                serving,
+                None,
+                ServerConfig { workers: 1 },
+            )
+        });
+        let mut guard = ShutdownGuard::new(addr);
+        let mut ops = OpsClient::connect_with_retry(ops_addr, Duration::from_secs(10)).unwrap();
+        // (requests, errors) in the current window. The window is
+        // process-wide, so the test compares against a baseline.
+        let windowed = |ops: &mut OpsClient| {
+            let metrics: serde_json::Value =
+                serde_json::from_str(&ops.query("metrics").unwrap()).unwrap();
+            let w = metrics.get("windowed").expect("windowed block");
+            let at = |key: &str| w.get(key).and_then(|x| x.as_u64()).unwrap();
+            (at("requests"), at("errors"))
+        };
+        let before = windowed(&mut ops);
+
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(&wire::preamble()).unwrap();
+        let declared = u32::try_from(wire::MAX_PAYLOAD + 1).unwrap();
+        stream.write_all(&declared.to_le_bytes()).unwrap();
+        stream.write_all(&5u64.to_le_bytes()).unwrap();
+        // One frame_too_large answer tagged with the offending id, then
+        // the server closes the connection.
+        let mut answer = Vec::new();
+        stream.read_to_end(&mut answer).unwrap();
+        let header = wire::decode_frame_header(&answer).unwrap();
+        assert_eq!(header.request_id, 5);
+        match wire::decode_value::<Response>(&answer[wire::FRAME_HEADER_LEN..]).unwrap() {
+            Response::Error { code, .. } => assert_eq!(code, codes::FRAME_TOO_LARGE),
+            other => panic!("oversized frame answered {other:?}"),
+        }
+
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let after = loop {
+            let now = windowed(&mut ops);
+            if now.1 > before.1 || Instant::now() >= deadline {
+                break now;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        };
+        assert_eq!(
+            (
+                after.0.saturating_sub(before.0),
+                after.1.saturating_sub(before.1)
+            ),
+            (1, 1),
+            "the windowed metrics must count the oversized frame as one failed request"
+        );
+        let health: serde_json::Value =
+            serde_json::from_str(&ops.query("health").unwrap()).unwrap();
+        let total = |key: &str| health.get(key).and_then(|x| x.as_u64());
+        assert_eq!(total("requests_total"), Some(1));
+        assert_eq!(total("errors_total"), Some(1));
+        drop(ops);
+
+        let mut client = Client::connect_with_retry(addr, Duration::from_secs(10)).unwrap();
+        assert!(matches!(
+            client.request(&Request::Shutdown).unwrap(),
+            Response::ShuttingDown
+        ));
+        guard.disarm();
+        drop(client);
+        let summary = server.join().expect("server thread").expect("serve result");
+        assert_eq!((summary.requests, summary.request_errors), (2, 1));
     });
 }
